@@ -1,0 +1,18 @@
+//! Records the compiler, build profile and features that built the
+//! benchmark, for the provenance header of every output.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_string());
+    let version = Command::new(&rustc)
+        .arg("-V")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string());
+    println!("cargo:rustc-env=PERFBENCH_RUSTC={version}");
+    let profile = std::env::var("PROFILE").unwrap_or_else(|_| "unknown".to_string());
+    println!("cargo:rustc-env=PERFBENCH_BUILD_PROFILE={profile}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
