@@ -1,5 +1,6 @@
 //! Microbenchmarks of the simulation substrate: event-calendar throughput
-//! (heap path, same-instant fast lane, and mixes), end-to-end
+//! (spread-out pushes, same-instant cascades, mixes, and a replay of a
+//! packet run's push-delay histogram), end-to-end
 //! events/second on a small incast, allocation-accounted packet-path
 //! probes, and the parallel fig. 14 sweep — run with
 //! `DSH_BENCH_JSON=BENCH_PRn.json` to record a perf-trajectory point.
@@ -15,7 +16,7 @@ use dsh_bench::fig14;
 use dsh_core::Scheme;
 use dsh_net::topology::fat_tree;
 use dsh_net::{FlowSpec, NetParams, Network, NetworkBuilder, ParallelSim};
-use dsh_simcore::{Bandwidth, ByteSize, Delta, EventQueue, Executor, Simulation, Time};
+use dsh_simcore::{Bandwidth, ByteSize, Delta, EventQueue, Executor, SimRng, Simulation, Time};
 use dsh_transport::{CcKind, RecoveryConfig};
 
 /// Counting allocator: every `alloc`/`realloc` bumps a relaxed counter on
@@ -92,7 +93,8 @@ fn allocations() -> Option<u64> {
 }
 
 fn event_queue_throughput(c: &mut Criterion) {
-    // Pure heap path: pushes land all over the timeline, never at "now".
+    // Spread-out pushes: 10k events over 100 µs, never at "now", so most
+    // start on the far wheel.
     c.bench_function("event_queue_push_pop_10k", |b| {
         b.iter(|| {
             let mut q = EventQueue::new();
@@ -106,8 +108,8 @@ fn event_queue_throughput(c: &mut Criterion) {
             sum
         });
     });
-    // Pure fast-lane path: a same-instant cascade, the shape of
-    // `Scheduler::immediately` and PFC pause/resume storms.
+    // A same-instant cascade, the shape of `Scheduler::immediately` and
+    // PFC pause/resume storms: every push joins the calendar's run.
     c.bench_function("event_queue_same_instant_cascade_100k", |b| {
         b.iter(|| {
             let mut q = EventQueue::with_capacity(4);
@@ -122,8 +124,8 @@ fn event_queue_throughput(c: &mut Criterion) {
             sum
         });
     });
-    // Mixed: each handled event schedules one future event (heap) and one
-    // same-instant follow-up (lane), like a switch forwarding under PFC.
+    // Mixed: each handled event schedules one future event and one
+    // same-instant follow-up, like a switch forwarding under PFC.
     c.bench_function("event_queue_mixed_lane_heap_10k", |b| {
         b.iter(|| {
             let mut q = EventQueue::with_capacity(64);
@@ -158,6 +160,37 @@ fn event_queue_throughput(c: &mut Criterion) {
             sum
         });
     });
+    // The packet engine's own shape: a calendar ~4k deep where each pop
+    // pushes one event at a delay drawn from the push-delay histogram of
+    // a 64-host leaf-spine DSH run (see `EventQueue`'s docs).
+    c.bench_function("event_queue_engine_mix", |b| {
+        b.iter(|| {
+            let mut rng = SimRng::new(7);
+            let mut q = EventQueue::with_capacity(4096);
+            for i in 0..4096u64 {
+                q.push(Time::ZERO + engine_mix_delay(&mut rng), i);
+            }
+            let mut sum = 0u64;
+            for _ in 0..100_000 {
+                let (t, e) = q.pop().expect("the replay keeps the calendar at depth");
+                sum = sum.wrapping_add(e);
+                q.push(t + engine_mix_delay(&mut rng), e);
+            }
+            sum
+        });
+    });
+}
+
+/// One push delay from the measured packet-run mix: 23% one 64 B frame at
+/// 100 Gb/s (ACK/PFC), 23% about one MTU frame (`TxDone`), 47% 1–4 µs
+/// (`Arrive`: serialization plus propagation), 7% 16–64 µs (DCQCN timers).
+fn engine_mix_delay(rng: &mut SimRng) -> Delta {
+    match rng.gen_range(100) {
+        0..23 => Delta::from_ps(5_120),
+        23..46 => Delta::from_ps(81_920 + rng.gen_range(2_000)),
+        46..93 => Delta::from_ns(1_000 + rng.gen_range(3_000)),
+        _ => Delta::from_ns(16_000 + rng.gen_range(48_000)),
+    }
 }
 
 /// Scaled-down fig. 14 sweep, end to end, at 1 worker and at 4 — the

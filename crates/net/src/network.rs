@@ -285,6 +285,13 @@ const FRAME_POOL_RETAIN: usize = 4096;
 /// grows it in steady state (the zero-allocs-per-packet contract).
 const OUTBOX_RESERVE: usize = 1024;
 
+/// Calendar room reserved per egress port before a run, on top of one
+/// event per flow start. The 64-host leaf-spine DSH benchmark cell peaks
+/// at ~5 pending events per port (808 over 160 ports); a busier fabric
+/// grows its calendar during warmup instead. A larger reservation costs
+/// resident memory even when unused, through heap fragmentation.
+const CALENDAR_EVENTS_PER_PORT: usize = 8;
+
 impl Network {
     pub(crate) fn from_parts(params: NetParams, nodes: Vec<Node>, tracer: Tracer) -> Self {
         let rng = SimRng::new(params.seed);
@@ -504,7 +511,9 @@ impl Network {
             .unwrap_or_default();
         let tick = self.params.sample_interval;
         let metrics = self.params.observe.map(|o| o.metrics_interval);
+        let events = self.calendar_reserve();
         let mut sim = Simulation::new(self);
+        sim.reserve_events(events);
         for (t, flow) in starts {
             sim.schedule(t, NetEvent::FlowStart { flow: flow.0 as u32 });
         }
@@ -518,6 +527,13 @@ impl Network {
             sim.schedule(Time::ZERO + mi, NetEvent::MetricsTick);
         }
         sim
+    }
+
+    /// Pending events a run's calendar is sized for up front: every flow's
+    /// start plus [`CALENDAR_EVENTS_PER_PORT`] per local egress port
+    /// (DESIGN.md §10).
+    pub(crate) fn calendar_reserve(&self) -> usize {
+        self.flows.len() + CALENDAR_EVENTS_PER_PORT * self.all_ports().count()
     }
 
     /// Pre-run sizing shared by the serial and partitioned paths: one FCT

@@ -289,8 +289,13 @@ impl ParallelSim {
             .into_iter()
             .enumerate()
             .map(|(k, part)| {
+                // Cross-partition frames land window-batched, so a
+                // partition's pending peak runs above the serial one:
+                // room for an `Arrive` per pre-warmed frame box as well.
+                let events = part.calendar_reserve() + PART_POOL_PREWARM;
                 let mut sim = Simulation::new(part);
                 sim.model_mut().prewarm_frame_pool(PART_POOL_PREWARM);
+                sim.reserve_events(events);
                 // Setup events in the serial calendar's order: flow starts
                 // (in flow-id order) first, the sampling tick last, so
                 // same-instant ties resolve exactly like `into_sim`.

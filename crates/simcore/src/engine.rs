@@ -129,6 +129,13 @@ impl<M: Model> Simulation<M> {
         self.queue.push(at, event);
     }
 
+    /// Makes calendar room for `additional` more pending events (see
+    /// [`EventQueue::reserve`]), so a run whose pending count stays under
+    /// that bound never allocates for the calendar.
+    pub fn reserve_events(&mut self, additional: usize) {
+        self.queue.reserve(additional);
+    }
+
     /// Runs until the calendar is empty. Returns the number of events
     /// processed during this call.
     pub fn run(&mut self) -> u64 {
@@ -397,6 +404,48 @@ mod tests {
         assert_eq!(
             sim.model().log,
             vec![(Time::from_ns(10), 1), (Time::from_ns(40), 99), (Time::from_ns(45), 7)]
+        );
+    }
+
+    #[test]
+    fn inserts_into_the_look_ahead_gap_fire_in_order() {
+        // run_until stops at a deadline while the next event is far ahead
+        // (5 ms) or just past the deadline in the same 8 ns calendar
+        // bucket; events then scheduled into the gap, including ones at
+        // an instant already pending, must fire in (time, seq) order.
+        let mut sim = Simulation::new(Recorder { log: vec![], chain: 0 });
+        let at = |ps: u64| Time::from_us(10) + Delta::from_ps(ps);
+        let far = Time::from_ms(5);
+        let near = at(5_000);
+        sim.schedule(Time::ZERO, 0);
+        sim.schedule(far, 1);
+        sim.schedule(near, 2);
+        assert_eq!(sim.run_until(Time::from_us(10)), 1);
+        assert_eq!(sim.run_until(at(4_000)), 0);
+        sim.schedule(at(3_000), 3);
+        sim.schedule(near, 4);
+        sim.with_model_at(at(2_500), |m, sched| {
+            m.log.push((sched.now(), 5));
+            sched.at(near, 6);
+            sched.at(far, 7);
+            sched.after(Delta::from_ms(1), 8);
+        });
+        sim.schedule(Time::from_ms(2), 9);
+        sim.run();
+        assert_eq!(
+            sim.model().log,
+            vec![
+                (Time::ZERO, 0),
+                (at(2_500), 5),
+                (at(3_000), 3),
+                (near, 2),
+                (near, 4),
+                (near, 6),
+                (at(2_500) + Delta::from_ms(1), 8),
+                (Time::from_ms(2), 9),
+                (far, 1),
+                (far, 7),
+            ]
         );
     }
 

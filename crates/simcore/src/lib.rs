@@ -15,7 +15,10 @@
 //! * [`Bandwidth`] converts between bytes and wire time exactly (bits/s).
 //! * [`EventQueue`] is a calendar ordered by `(time, insertion sequence)` so
 //!   that simultaneous events run in FIFO order — the whole simulator is
-//!   deterministic for a given seed.
+//!   deterministic for a given seed. It is a bounded timing wheel (8.192 ns
+//!   buckets, a 4.19–8.39 µs near window, a ~1 ms far wheel and an
+//!   overflow heap) sized from a packet run's push-delay mix, and accepts
+//!   pushes at or after the last popped instant.
 //! * [`SimRng`] is a self-contained xoshiro256** generator (seeded via
 //!   SplitMix64) so results do not drift across `rand` versions or
 //!   platforms.
