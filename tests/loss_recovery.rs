@@ -238,3 +238,33 @@ proptest! {
         }
     }
 }
+
+/// FNV-1a over the rendered output, so a golden is one `u64` literal.
+fn fnv1a(s: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in s.bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Golden digests of fig17's smoke lossy cells (go-back-N and selective
+/// repeat over a drop-tail MMU): telemetry JSON, every FCT record and
+/// the event count. Pinned before the two RTO handlers were merged into
+/// one; the timeout, NACK and repair paths must not move an event.
+#[test]
+fn lossy_smoke_cells_match_pinned_digests() {
+    use dsh_bench::fig17::{self, Cell};
+    for (cell, golden) in
+        [(Cell::LossyGbn, 835_027_510_373_699_573u64), (Cell::LossySr, 942_866_989_386_948_121)]
+    {
+        let exp = fig17::smoke_base(cell);
+        let (net, _) = fig17::loaded(&exp);
+        let end = Time::ZERO + exp.run_until;
+        let (net, events) = dsh_bench::fabric::run_net(net, end, 1);
+        assert!(net.data_drops() > 0, "{cell:?}: the lossy cell must drop");
+        let doc = format!("{}{:?}{events}", net.telemetry_report(end).to_json(), net.fct_records());
+        assert_eq!(fnv1a(&doc), golden, "{cell:?}: lossy smoke cell drifted");
+    }
+}

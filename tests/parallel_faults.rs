@@ -82,3 +82,33 @@ fn baseline_telemetry_is_byte_identical_at_any_worker_count() {
     assert_eq!(t1, t4, "baseline telemetry drifted at 4 workers");
     assert_eq!(format!("{r1:?}"), format!("{r4:?}"));
 }
+
+/// FNV-1a over the rendered output, so a golden is one `u64` literal.
+fn fnv1a(s: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in s.bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Golden digests of the flapped run per scheme (telemetry JSON plus the
+/// run summary), at one and two partition workers. Pinned before the
+/// serial and partitioned fault executors were merged into one step
+/// sequence; a refactor of the fault path must not move them.
+#[test]
+fn flap_runs_match_pinned_digests() {
+    let goldens = [
+        (Scheme::Sih, 7_531_481_892_657_442_918u64),
+        (Scheme::Dsh, 12_416_648_580_528_140_841),
+        (Scheme::BShare, 2_421_775_167_183_422_412),
+    ];
+    for (scheme, golden) in goldens {
+        for workers in [1, 2] {
+            let (r, telemetry) = fig13x::run_flap_report(&flapped(scheme), workers);
+            let digest = fnv1a(&format!("{telemetry}{r:?}"));
+            assert_eq!(digest, golden, "{scheme:?}: flap run drifted at {workers} workers");
+        }
+    }
+}
