@@ -6,7 +6,7 @@ use crate::ids::{NodeId, NUM_DATA_CLASSES};
 use crate::network::{Network, Node};
 use crate::observe::ObserveConfig;
 use crate::port::EgressPort;
-use crate::routing::compute_route_tables;
+use crate::routing::checked_route_tables;
 use crate::switch::SwitchNode;
 use dsh_core::{headroom, Mmu, MmuConfig, Scheme};
 use dsh_simcore::trace::{TraceConfig, TraceKey, Tracer};
@@ -332,19 +332,7 @@ impl NetworkBuilder {
         // Routing: for each destination host, BFS from its ToR over the
         // switch graph; each switch forwards to any neighbour strictly
         // closer to the ToR (ECMP).
-        let tables = compute_route_tables(&is_switch, &adj);
-        // The inline telemetry array budgets every frame's stamp count:
-        // a topology deeper than HOP_CAPACITY must fail here, not panic
-        // mid-simulation in HopList::push.
-        let diameter = crate::routing::max_route_hops(&is_switch, &adj);
-        assert!(
-            diameter <= dsh_transport::HOP_CAPACITY,
-            "longest route crosses {diameter} switches but frames carry only \
-             HOP_CAPACITY ({}) inline telemetry stamps; raise \
-             dsh_transport::HOP_CAPACITY (and recertify the Frame size \
-             contract) for this topology",
-            dsh_transport::HOP_CAPACITY
-        );
+        let tables = checked_route_tables(&is_switch, &adj);
 
         // Materialize nodes.
         let mut nodes = Vec::with_capacity(n);

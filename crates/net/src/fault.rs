@@ -6,6 +6,11 @@
 //! entry becomes an ordinary calendar event, so fault runs stay bit-identical
 //! at any thread count (the parallel executor replays the same calendar).
 //!
+//! Both engines execute a link event through one step sequence
+//! (`FaultKind::execute`): the serial calendar from inside its `Fault`
+//! event, the partitioned driver at the window barrier of the fault
+//! instant, each step on the partition owning the endpoint it touches.
+//!
 //! Corruption draws come from per-directed-link RNG streams derived with
 //! `split_seed` from the plan seed, so adding a corrupted link never perturbs
 //! the draws of another link.
@@ -19,7 +24,8 @@
 //! handles.
 
 use crate::ids::NodeId;
-use dsh_simcore::Time;
+use crate::network::{NetEvent, Network};
+use dsh_simcore::{Scheduler, Time};
 
 /// What one scheduled fault event does to the fabric.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -150,32 +156,65 @@ impl FaultPlan {
     }
 }
 
-/// Whether `DSH_FAULT_TRACE=1` debug logging is on (always `false` unless
-/// the `fault-trace` feature is compiled in).
-#[cfg(feature = "fault-trace")]
-pub(crate) fn trace_enabled() -> bool {
-    use std::sync::OnceLock;
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| std::env::var("DSH_FAULT_TRACE").is_ok_and(|v| v == "1"))
-}
+/// Where the fault executor's steps run. The serial engine applies every
+/// step to its one network from inside the `Fault` event; the partitioned
+/// driver applies each to the partition owning the step's node, at the
+/// window barrier of the fault instant.
+pub(crate) trait FaultSite {
+    /// Runs `step` on the network that owns `node`.
+    fn at(&mut self, node: NodeId, step: impl FnOnce(&mut Network, &mut Scheduler<'_, NetEvent>));
+    /// Recomputes every switch's routes over the live topology.
+    fn reroute(&mut self);
 
-/// Feature-gated stub so `fault_trace!` call sites compile unchanged.
-#[cfg(not(feature = "fault-trace"))]
-pub(crate) fn trace_enabled() -> bool {
-    false
-}
-
-/// Logs one fault-injection / loss-recovery event to stderr when the
-/// `fault-trace` feature is enabled and `DSH_FAULT_TRACE=1` is set.
-/// Compiles to dead code otherwise (the condition is `cfg!`-const false).
-macro_rules! fault_trace {
-    ($($arg:tt)*) => {
-        if cfg!(feature = "fault-trace") && $crate::fault::trace_enabled() {
-            eprintln!($($arg)*);
+    /// Applies `step` to both ends of the `a`–`b` link, `a` first.
+    fn both_ends(&mut self, a: NodeId, b: NodeId, step: FaultStep) {
+        for (node, peer) in [(a, b), (b, a)] {
+            self.at(node, |net, sched| net.fault_step(step, node, peer, sched));
         }
-    };
+    }
 }
-pub(crate) use fault_trace;
+
+/// What one step of the fault executor does to one endpoint's port.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum FaultStep {
+    /// Bring the link to packet fidelity (a no-op in packet mode). On a
+    /// failure, in-flight fluid bytes become real frames the dying link
+    /// can drop and recovery retransmit; a repaired link re-enters
+    /// service at packet fidelity and may de-escalate once quiescent.
+    Escalate,
+    /// Drain the port, release its MMU accounting and clear its pause
+    /// ledger.
+    Kill,
+    /// Bring the port back up.
+    Restore,
+    /// Restart transmission: a host may have flows parked on the dead
+    /// uplink, a switch frames enqueued while the port was down.
+    Kick,
+}
+
+impl FaultKind {
+    /// Executes this link fault. Both engines run this one step sequence,
+    /// so they agree on its order:
+    ///
+    /// 1. trace the fault (once, on `a`'s network);
+    /// 2. escalate both endpoints, before either port is touched;
+    /// 3. kill or restore both ports;
+    /// 4. reroute;
+    /// 5. on repair only, kick both ends — strictly after routes are back.
+    pub(crate) fn execute(self, site: &mut impl FaultSite) {
+        let (a, b, up) = match self {
+            FaultKind::LinkDown { a, b } => (a, b, false),
+            FaultKind::LinkUp { a, b } => (a, b, true),
+        };
+        site.at(a, |net, _| net.trace_fault(a, b, up));
+        site.both_ends(a, b, FaultStep::Escalate);
+        site.both_ends(a, b, if up { FaultStep::Restore } else { FaultStep::Kill });
+        site.reroute();
+        if up {
+            site.both_ends(a, b, FaultStep::Kick);
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

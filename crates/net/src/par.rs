@@ -25,10 +25,11 @@
 //!    timing. Staging is an `append`, one lock per destination: the
 //!    O(log n) calendar insertions are deferred to the owning workers at
 //!    the next window open, off the coordinator's critical path,
-//! 3. link faults scheduled exactly at `stop` execute on the owning
-//!    partitions (after a coordinator-side inbox drain, so fault handlers
-//!    see the same calendar a serial run would), followed by a global
-//!    route recompute,
+//! 3. link faults scheduled exactly at `stop` execute through the same
+//!    step sequence as the serial engine (`FaultKind::execute`), each step
+//!    on the partition owning its endpoint and the reroute over the global
+//!    live topology — after a coordinator-side inbox drain, so the steps
+//!    see the same calendar a serial run would,
 //! 4. `floor = stop`.
 //!
 //! A final inclusive pass per partition handles events at exactly the
@@ -46,13 +47,13 @@
 //! draws and exactly-simultaneous cross-partition arrivals at one node
 //! follow per-partition order rather than the serial engine's).
 
-use crate::fault::FaultKind;
+use crate::fault::{FaultKind, FaultSite};
 use crate::frame::Frame;
 use crate::ids::{FlowId, NodeId};
 use crate::network::{NetEvent, Network, Node};
 use crate::routing;
 use dsh_simcore::window::Lockstep;
-use dsh_simcore::{Delta, Simulation, Time};
+use dsh_simcore::{Delta, Scheduler, Simulation, Time};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -228,7 +229,6 @@ pub struct ParallelSim {
     faults: Vec<(Time, FaultKind)>,
     next_fault: usize,
     scratch: Vec<(Time, NetEvent)>,
-    #[allow(clippy::vec_box)] // boxes are the recycled resource (see Pool::lend)
     #[allow(clippy::vec_box)] // boxes are the recycled resource (see Pool::lend)
     frame_scratch: Vec<Box<Frame>>,
     inbox_scratch: Vec<Vec<(Time, NetEvent)>>,
@@ -470,7 +470,6 @@ pub struct ParallelRun<'a> {
     next_fault: &'a mut usize,
     scratch: &'a mut Vec<(Time, NetEvent)>,
     #[allow(clippy::vec_box)] // boxes are the recycled resource (see Pool::lend)
-    #[allow(clippy::vec_box)] // boxes are the recycled resource (see Pool::lend)
     frame_scratch: &'a mut Vec<Box<Frame>>,
     inbox_scratch: &'a mut Vec<Vec<(Time, NetEvent)>>,
     worker_panic: &'a Mutex<Option<PanicPayload>>,
@@ -523,7 +522,11 @@ impl ParallelRun<'_> {
                 if t != stop {
                     break;
                 }
-                self.execute_fault(t, kind);
+                kind.execute(&mut PartitionedFaultSite {
+                    parts: self.parts,
+                    owner: self.plan.owner(),
+                    t,
+                });
                 *self.next_fault += 1;
             }
             // Faults transmit PFC resumes and kicks of their own.
@@ -605,45 +608,35 @@ impl ParallelRun<'_> {
             drain_inbox(&mut lock(p));
         }
     }
+}
 
-    /// Executes one link fault at the barrier instant `t`: endpoint halves
-    /// on their owning partitions (in `(a, b)` order, like the serial
-    /// handler), then a global route recompute, then — for repairs — the
-    /// serializer kicks, strictly after routes are back.
-    fn execute_fault(&mut self, t: Time, kind: FaultKind) {
-        let (a, b, up) = match kind {
-            FaultKind::LinkDown { a, b } => (a, b, false),
-            FaultKind::LinkUp { a, b } => (a, b, true),
-        };
-        for (node, peer) in [(a, b), (b, a)] {
-            let p = self.plan.owner[node.0] as usize;
-            lock(&self.parts[p]).with_model_at(t, |m, s| m.fault_endpoint(node, peer, up, s));
-        }
-        // Route recompute over the global live adjacency — the partitioned
-        // counterpart of Network::recompute_routes, including its stamp-
-        // budget re-validation.
-        let n = self.plan.owner.len();
-        let mut is_switch = vec![false; n];
-        let mut adj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-        for p in self.parts {
-            lock(p).model().live_topology_into(&mut is_switch, &mut adj);
-        }
-        let tables = routing::compute_route_tables(&is_switch, &adj);
-        let diameter = routing::max_route_hops(&is_switch, &adj);
-        assert!(
-            diameter <= dsh_transport::HOP_CAPACITY,
-            "post-fault reroute produced a {diameter}-switch path but frames \
-             carry only HOP_CAPACITY ({}) inline telemetry stamps",
-            dsh_transport::HOP_CAPACITY
-        );
+/// The partitioned engine's [`FaultSite`]: each step runs on the partition
+/// owning its node, at the barrier instant `t`.
+struct PartitionedFaultSite<'a> {
+    parts: &'a [Mutex<Simulation<Network>>],
+    owner: &'a [u32],
+    t: Time,
+}
+
+impl FaultSite for PartitionedFaultSite<'_> {
+    fn at(&mut self, node: NodeId, step: impl FnOnce(&mut Network, &mut Scheduler<'_, NetEvent>)) {
+        let t = self.t;
+        lock(&self.parts[self.owner[node.0] as usize]).with_model_at(t, |m, s| {
+            // Barrier steps run outside event dispatch, which is what
+            // stamps the flight-recorder clock.
+            m.tracer().tick(t);
+            step(m, s);
+        });
+    }
+
+    fn reroute(&mut self) {
+        let tables = routing::reroute(self.owner.len(), |is_switch, adj| {
+            for p in self.parts {
+                lock(p).model().live_topology_into(is_switch, adj);
+            }
+        });
         for p in self.parts {
             lock(p).model_mut().install_routes(&tables);
-        }
-        if up {
-            for (node, peer) in [(a, b), (b, a)] {
-                let p = self.plan.owner[node.0] as usize;
-                lock(&self.parts[p]).with_model_at(t, |m, s| m.fault_kick(node, peer, s));
-            }
         }
     }
 }

@@ -79,16 +79,7 @@ impl RouteTable {
 #[must_use]
 pub fn compute_route_tables(is_switch: &[bool], adj: &[Vec<(usize, usize)>]) -> Vec<RouteTable> {
     let n = is_switch.len();
-    // Switch-only adjacency for the BFS (hosts never transit traffic).
-    let switch_adj: Vec<Vec<usize>> = (0..n)
-        .map(|u| {
-            if !is_switch[u] {
-                return Vec::new();
-            }
-            adj[u].iter().filter(|&&(v, _)| is_switch[v]).map(|&(v, _)| v).collect()
-        })
-        .collect();
-
+    let switch_adj = switch_adjacency(is_switch, adj);
     let mut tables: Vec<RouteTable> = (0..n).map(|_| RouteTable::new(n)).collect();
     for h in 0..n {
         if is_switch[h] {
@@ -132,21 +123,11 @@ pub fn compute_route_tables(is_switch: &[bool], adj: &[Vec<(usize, usize)>]) -> 
 /// frame once at dequeue. Returns 0 when no host pair is mutually
 /// reachable.
 ///
-/// Shared by `NetworkBuilder::build` and the runtime fault handler so a
-/// topology (or a post-fault detour) whose diameter exceeds the inline
-/// telemetry capacity fails loudly at (re)route time instead of panicking
-/// mid-flight in `HopList::push`.
+/// [`checked_route_tables`] enforces the bound.
 #[must_use]
 pub fn max_route_hops(is_switch: &[bool], adj: &[Vec<(usize, usize)>]) -> usize {
     let n = is_switch.len();
-    let switch_adj: Vec<Vec<usize>> = (0..n)
-        .map(|u| {
-            if !is_switch[u] {
-                return Vec::new();
-            }
-            adj[u].iter().filter(|&&(v, _)| is_switch[v]).map(|&(v, _)| v).collect()
-        })
-        .collect();
+    let switch_adj = switch_adjacency(is_switch, adj);
     // Only ToRs (switches with a live host behind them) terminate routes.
     let mut tors: Vec<usize> = (0..n)
         .filter(|&h| !is_switch[h])
@@ -164,6 +145,56 @@ pub fn max_route_hops(is_switch: &[bool], adj: &[Vec<(usize, usize)>]) -> usize 
         }
     }
     worst
+}
+
+/// [`compute_route_tables`] behind the inline telemetry budget: every
+/// switch a frame crosses stamps it once, so a topology — or a fault
+/// detour — whose longest route exceeds [`dsh_transport::HOP_CAPACITY`]
+/// fails loudly here, when routes are (re)computed, instead of panicking
+/// mid-flight in `HopList::push`. `NetworkBuilder::build` and the fault
+/// executor both route through this one function.
+///
+/// # Panics
+///
+/// Panics if the longest route crosses more than `HOP_CAPACITY` switches.
+#[must_use]
+pub fn checked_route_tables(is_switch: &[bool], adj: &[Vec<(usize, usize)>]) -> Vec<RouteTable> {
+    let diameter = max_route_hops(is_switch, adj);
+    assert!(
+        diameter <= dsh_transport::HOP_CAPACITY,
+        "longest route crosses {diameter} switches but frames carry only \
+         HOP_CAPACITY ({}) inline telemetry stamps; raise \
+         dsh_transport::HOP_CAPACITY (and recertify the Frame size \
+         contract) for this topology",
+        dsh_transport::HOP_CAPACITY
+    );
+    compute_route_tables(is_switch, adj)
+}
+
+/// [`checked_route_tables`] over the live topology `gather` fills in for
+/// an `n`-node network: the reroute both engines run after a fault
+/// (`gather` is `Network::live_topology_into`, over every partition in
+/// the partitioned engine).
+pub fn reroute(
+    n: usize,
+    gather: impl FnOnce(&mut [bool], &mut [Vec<(usize, usize)>]),
+) -> Vec<RouteTable> {
+    let mut is_switch = vec![false; n];
+    let mut adj = vec![Vec::new(); n];
+    gather(&mut is_switch, &mut adj);
+    checked_route_tables(&is_switch, &adj)
+}
+
+/// Switch-only adjacency for the BFS (hosts never transit traffic).
+fn switch_adjacency(is_switch: &[bool], adj: &[Vec<(usize, usize)>]) -> Vec<Vec<usize>> {
+    (0..is_switch.len())
+        .map(|u| {
+            if !is_switch[u] {
+                return Vec::new();
+            }
+            adj[u].iter().filter(|&&(v, _)| is_switch[v]).map(|&(v, _)| v).collect()
+        })
+        .collect()
 }
 
 /// Deterministic ECMP hash (SplitMix64 finalizer over flow ⊕ node).

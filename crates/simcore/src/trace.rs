@@ -193,6 +193,10 @@ pub enum TraceEvent {
     FrameCorrupt = 50,
     /// Frames drained by a dying link; `payload` = how many.
     LinkDrain = 51,
+    /// One frame lost to a fault outside a drain — delivered onto a dead
+    /// link, or black-holed at a switch left without a route; `port` = the
+    /// ingress it arrived on, `payload` = frame bytes.
+    FrameLost = 52,
 
     /// A fluid link escalated to packet mode; `node`/`port` name the
     /// directed link's egress side, `payload` = the trigger reason code
@@ -261,6 +265,7 @@ impl TraceEvent {
             TraceEvent::LinkUp => "link_up",
             TraceEvent::FrameCorrupt => "frame_corrupt",
             TraceEvent::LinkDrain => "link_drain",
+            TraceEvent::FrameLost => "frame_lost",
             TraceEvent::FluidEscalate => "fluid_escalate",
             TraceEvent::FluidDeescalate => "fluid_deescalate",
             TraceEvent::FluidFlowStart => "fluid_flow_start",
@@ -298,6 +303,7 @@ impl TraceEvent {
             49 => TraceEvent::LinkUp,
             50 => TraceEvent::FrameCorrupt,
             51 => TraceEvent::LinkDrain,
+            52 => TraceEvent::FrameLost,
             64 => TraceEvent::FluidEscalate,
             65 => TraceEvent::FluidDeescalate,
             66 => TraceEvent::FluidFlowStart,
@@ -937,7 +943,8 @@ pub fn chrome_trace(logs: &[TraceLog], provenance: Json) -> Json {
                 TraceEvent::LinkDown
                 | TraceEvent::LinkUp
                 | TraceEvent::FrameCorrupt
-                | TraceEvent::LinkDrain => {
+                | TraceEvent::LinkDrain
+                | TraceEvent::FrameLost => {
                     events.push(ev(kind.name(), "i", ts, 5, node).with("s", "p").with(
                         "args",
                         Json::object().with("node", node).with("payload", rec.payload),

@@ -96,3 +96,19 @@ pub fn assert_bounded_loss(net: &Network, now: Time, max_data_drops: u64) {
         net.link_drops()
     );
 }
+
+/// Frames a flight-recorder log attributes to faults: every frame a dying
+/// link drained, every corrupted frame, every frame lost on a dead link
+/// or black-holed for want of a route. Equals `Network::link_drops` when
+/// the ring did not wrap.
+pub fn traced_fault_losses(log: &dsh_simcore::trace::TraceLog) -> u64 {
+    use dsh_simcore::trace::TraceEvent;
+    log.records
+        .iter()
+        .map(|r| match r.kind() {
+            Some(TraceEvent::LinkDrain) => r.payload,
+            Some(TraceEvent::FrameCorrupt | TraceEvent::FrameLost) => 1,
+            _ => 0,
+        })
+        .sum()
+}

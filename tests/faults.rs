@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::{add_incast, assert_lossless, raw_params, run, star};
+use common::{add_incast, assert_lossless, raw_params, run, star, traced_fault_losses};
 use dsh_core::Scheme;
 use dsh_net::topology::{leaf_spine, LeafSpine, LeafSpineShape};
 use dsh_net::{FaultPlan, FlowSpec, NetParams, Network};
@@ -209,4 +209,31 @@ proptest! {
             prop_assert_eq!(serial, four, "thread count changed a fault run");
         }
     }
+}
+
+/// Every `link_drops` increment leaves a FAULT record. The plan flaps the
+/// incast destination's access link (switches black-hole traffic toward
+/// it while it is down, frames in flight die on arrival) and corrupts a
+/// leaf–spine link, so all three loss records fire.
+#[test]
+fn every_link_drop_leaves_a_fault_record() {
+    use dsh_simcore::trace::{TraceConfig, TraceEvent, TraceMask};
+    let trace = TraceConfig { mask: TraceMask::FAULT, capacity: 1 << 16 };
+    let ls = fabric(NetParams::tomahawk(Scheme::Dsh).with_trace(trace), 4);
+    let (leaf0, leaf1, spine0) = (ls.leaves[0], ls.leaves[1], ls.spines[0]);
+    let hosts = ls.hosts.clone();
+    let mut net = ls.builder.build();
+    cross_rack_incast(&hosts, &mut net, 256 * 1024, CcKind::Dcqcn);
+    net.set_fault_plan(
+        FaultPlan::new(3)
+            .flap(leaf1, hosts[1][0], Time::from_us(20), Time::from_us(80))
+            .corrupt_link(leaf0, spine0, 0.01),
+    );
+    let net = run(net, Time::from_ms(4));
+    let log = net.trace_log();
+    assert_eq!(log.dropped, 0, "the fault ring must not wrap");
+    for kind in [TraceEvent::LinkDrain, TraceEvent::FrameCorrupt, TraceEvent::FrameLost] {
+        assert!(log.records.iter().any(|r| r.kind() == Some(kind)), "no {kind:?} record");
+    }
+    assert_eq!(traced_fault_losses(&log), net.link_drops(), "an untraced fault loss");
 }

@@ -1,14 +1,19 @@
 //! Tracing end-to-end regressions: the flight recorder and the Chrome
 //! export must be deterministic (byte-identical at any executor width),
-//! and a dirty MMU audit must leave an `AuditFail` record in the ring.
+//! a dirty MMU audit must leave an `AuditFail` record in the ring, and
+//! both engines must record every link fault and every frame it cost.
 //!
 //! Determinism matters because the trace is a debugging artifact: a diff
 //! between two traces must mean the *simulation* differed, never that
 //! the executor interleaved differently.
 
+mod common;
+
+use common::traced_fault_losses;
 use dsh_bench::fabric::{self, FctExperiment, Topo};
+use dsh_bench::fig13x;
 use dsh_core::{Mmu, MmuConfig, Scheme};
-use dsh_simcore::trace::{self, TraceEvent, TraceMask, Tracer};
+use dsh_simcore::trace::{self, TraceEvent, TraceLog, TraceMask, Tracer};
 use dsh_simcore::{ByteSize, Delta, Executor, Json};
 use dsh_transport::CcKind;
 
@@ -102,4 +107,39 @@ fn dirty_mmu_audit_records_and_dumps_the_failure() {
         .expect("dirty audit must record AuditFail");
     assert_eq!(fail.node, 7, "AuditFail must name the failing MMU's node");
     assert_eq!(fail.payload, 1, "payload carries the violation count");
+}
+
+/// Runs `exp` under a FAULT-category capture and returns its result and
+/// its one flight-recorder log (the ring is sized so it never wraps).
+fn fault_log(exp: &fig13x::FlapExperiment) -> (fig13x::FlapResult, TraceLog) {
+    let (r, mut logs) = trace::capture(TraceMask::FAULT, 1 << 16, || fig13x::run_flap(exp));
+    assert_eq!(logs.len(), 1, "one flight recorder per simulation");
+    let log = logs.pop().expect("one log");
+    assert_eq!(log.dropped, 0, "the fault ring must not wrap");
+    (r, log)
+}
+
+/// Both engines run one fault executor, so a traced flap run records
+/// each link death and repair exactly once — serial or partitioned — and
+/// accounts for every lost frame with a FAULT record.
+#[test]
+fn partitioned_flap_runs_trace_every_fault() {
+    let count = |log: &TraceLog, kind: TraceEvent| {
+        log.records.iter().filter(|r| r.kind() == Some(kind)).count()
+    };
+    let mut exp = fig13x::smoke_base(Scheme::Dsh);
+    exp.flap_period = Some(Delta::from_us(300));
+    let (serial_run, serial) = fault_log(&exp);
+    exp.workers = 2;
+    let (partitioned_run, partitioned) = fault_log(&exp);
+    assert!(count(&serial, TraceEvent::LinkDown) > 0, "the flap plan must trace its link deaths");
+    for kind in [TraceEvent::LinkDown, TraceEvent::LinkUp] {
+        assert_eq!(
+            count(&serial, kind),
+            count(&partitioned, kind),
+            "{kind:?} records differ between the serial and 2-worker runs"
+        );
+    }
+    assert_eq!(traced_fault_losses(&serial), serial_run.link_drops);
+    assert_eq!(traced_fault_losses(&partitioned), partitioned_run.link_drops);
 }
