@@ -353,8 +353,8 @@ fn sr_path_probe(label: &str, mut sim: Simulation<Network>) {
 }
 
 /// A 5-switch linear chain (the nominal fat-tree diameter) with PowerTCP,
-/// so every data packet is INT-stamped at five hops and every ACK echoes a
-/// near-full inline `HopList` back through the reverse path.
+/// so every data packet is born armed, INT-stamped at five hops, and every
+/// ACK carries its five stamps back through the reverse path.
 fn forward_chain_sim(scheme: Scheme) -> Simulation<Network> {
     let mut bld = NetworkBuilder::new(NetParams::tomahawk(scheme).without_ecn());
     let src = bld.host();
@@ -534,11 +534,12 @@ fn parallel_scale(_c: &mut Criterion) {
     }
 }
 
-/// A 4-switch chain with long cross-cut uncontrolled flows (ECN off): the
+/// A 4-switch chain with long cross-cut `cc` flows (ECN off): the
 /// partitioned counterpart of the packet-path fixtures. Every flow's path
 /// crosses at least one partition cut, so the steady state continuously
-/// exercises the outbox → merge → remote-calendar machinery.
-fn partitioned_chain() -> ParallelSim {
+/// exercises the outbox → merge → remote-calendar machinery — and, with
+/// PowerTCP, the migration of INT stamp blocks between partition pools.
+fn partitioned_chain(cc: CcKind) -> ParallelSim {
     let mut bld = NetworkBuilder::new(NetParams::tomahawk(Scheme::Dsh).without_ecn());
     let switches: Vec<_> = (0..4).map(|_| bld.switch()).collect();
     for w in switches.windows(2) {
@@ -562,7 +563,7 @@ fn partitioned_chain() -> ParallelSim {
             size: 16 * 1024 * 1024,
             class: 0,
             start: Time::from_us(i as u64),
-            cc: CcKind::Uncontrolled,
+            cc,
         });
     }
     let par = ParallelSim::new(net, 2).expect("the chain must partition");
@@ -633,7 +634,14 @@ fn parallel_packet_path_probe(label: &str, mut par: ParallelSim) {
 /// Partitioned-engine probes: the k=16 fat-tree scale sweep plus the
 /// allocation-accounted cross-partition packet path.
 fn parallel_engine(c: &mut Criterion) {
-    parallel_packet_path_probe("parallel_packet_path/chain_4sw_2workers", partitioned_chain());
+    parallel_packet_path_probe(
+        "parallel_packet_path/chain_4sw_2workers",
+        partitioned_chain(CcKind::Uncontrolled),
+    );
+    parallel_packet_path_probe(
+        "parallel_packet_path/chain_4sw_2workers_powertcp",
+        partitioned_chain(CcKind::PowerTcp),
+    );
     parallel_scale(c);
 }
 

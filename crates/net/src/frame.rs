@@ -8,10 +8,12 @@ pub const CONTROL_FRAME_BYTES: u64 = 64;
 
 /// A data segment of a flow.
 ///
-/// Frames are plain `Copy` data: the INT hop records live inline in a
-/// fixed-capacity [`HopList`], so building, forwarding and echoing a frame
-/// never touches the heap.
-#[derive(Clone, Copy, Debug)]
+/// Frames are small `Clone` (not `Copy`) values: the INT hop records live
+/// out of line behind an 8-byte [`HopList`] handle, armed only for flows
+/// whose transport reads them. The network recycles both the frame box
+/// and the stamp block through pools, so building, forwarding and echoing
+/// a frame never touches the heap in steady state.
+#[derive(Clone, Debug)]
 pub struct DataFrame {
     /// The flow this segment belongs to.
     pub flow: FlowId,
@@ -25,12 +27,13 @@ pub struct DataFrame {
     pub payload: u64,
     /// ECN Congestion Experienced mark.
     pub ecn: bool,
-    /// In-band telemetry appended hop by hop (PowerTCP).
+    /// In-band telemetry appended hop by hop; armed only for flows whose
+    /// transport reads it (PowerTCP).
     pub hops: HopList,
 }
 
 /// An acknowledgment for one data segment, echoing ECN and telemetry.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct AckFrame {
     /// The acknowledged flow.
     pub flow: FlowId,
@@ -40,8 +43,8 @@ pub struct AckFrame {
     pub acked: u64,
     /// Echo of the data packet's ECN mark.
     pub ecn_echo: bool,
-    /// Echo of the data packet's INT telemetry (an inline copy, not a
-    /// heap clone).
+    /// Echo of the data packet's INT telemetry: the receiver moves the
+    /// data frame's list here, storage and all.
     pub hops: HopList,
 }
 
@@ -88,7 +91,7 @@ pub struct PfcFrame {
 }
 
 /// Frame payload variants.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub enum FrameKind {
     /// Flow data.
     Data(DataFrame),
@@ -110,7 +113,7 @@ pub enum FrameKind {
 }
 
 /// A frame on the wire.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct Frame {
     /// Wire size in bytes (serialization time = `bytes / C`).
     pub bytes: u64,
@@ -177,6 +180,25 @@ impl Frame {
     #[must_use]
     pub fn is_data(&self) -> bool {
         matches!(self.kind, FrameKind::Data(_))
+    }
+
+    /// Mutable access to the INT stamps of a data frame or ACK.
+    pub fn hops_mut(&mut self) -> Option<&mut HopList> {
+        match &mut self.kind {
+            FrameKind::Data(d) => Some(&mut d.hops),
+            FrameKind::Ack(a) => Some(&mut a.hops),
+            _ => None,
+        }
+    }
+
+    /// Whether the frame owns INT stamp storage.
+    #[must_use]
+    pub fn is_armed(&self) -> bool {
+        match &self.kind {
+            FrameKind::Data(d) => d.hops.is_armed(),
+            FrameKind::Ack(a) => a.hops.is_armed(),
+            _ => false,
+        }
     }
 }
 

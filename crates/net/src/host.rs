@@ -24,6 +24,9 @@ pub struct SenderFlow {
     pub next_send: Time,
     /// Congestion control state machine.
     pub cc: Box<dyn Cc>,
+    /// Whether the transport reads INT ([`dsh_transport::CcKind::reads_int`]):
+    /// only then are this flow's data frames born armed with stamp storage.
+    pub reads_int: bool,
     /// Generation counter invalidating stale CC timer events.
     pub timer_gen: u32,
     /// Go-back-N retransmission state (idle unless the network has
@@ -260,6 +263,7 @@ mod tests {
             acked: 0,
             next_send: Time::ZERO,
             cc: Box::new(Uncontrolled::new(Bandwidth::from_gbps(100))),
+            reads_int: false,
             timer_gen: 0,
             recovery: GoBackN::new(RecoveryConfig::for_rtt(Delta::from_us(16))),
             rto_gen: 0,

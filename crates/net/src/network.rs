@@ -22,8 +22,8 @@ use dsh_simcore::{
     SimRng, Simulation, Time,
 };
 use dsh_transport::{
-    new_cc, CcKind, GoBackN, HopList, RecoveryConfig, Regime, RtoOutcome, SackBuffer, SackState,
-    TelemetryHop,
+    new_cc, CcKind, GoBackN, HopList, HopStamps, RecoveryConfig, Regime, RtoOutcome, SackBuffer,
+    SackState, TelemetryHop,
 };
 
 /// Specification of one flow.
@@ -58,8 +58,7 @@ pub enum NetEvent {
         node: u32,
         /// Ingress port index at the receiving node.
         in_port: u32,
-        /// The frame (boxed and pool-recycled so events stay pointer-sized
-        /// even though frames carry their INT hops inline).
+        /// The frame (boxed and pool-recycled so events stay 24 bytes).
         frame: Box<Frame>,
     },
     /// `node`'s egress `port` finished serializing its current frame.
@@ -213,6 +212,8 @@ pub struct Network {
     /// and is reused for the next frame, so the steady-state packet path
     /// never touches the allocator.
     pool: Pool<Frame>,
+    /// Recycled INT stamp blocks for frames of flows that read INT.
+    stamps: StampPool,
     /// Flush scratch: frames drained off one egress by a dying link or a
     /// watchdog flush (capacity reused across flushes).
     flushed: Vec<QueuedFrame>,
@@ -289,8 +290,57 @@ pub struct Network {
 
 /// Number of free frame boxes the pool retains (beyond this, returned
 /// boxes are simply freed): bounds retained memory after a burst at
-/// ~1 MiB while covering the steady-state churn window many times over.
+/// ~0.3 MiB while covering the steady-state churn window many times over.
+/// The stamp pool retains as many blocks (~1 MiB at most, and only in
+/// runs with INT-reading flows).
 const FRAME_POOL_RETAIN: usize = 4096;
+
+/// Recycled [`HopStamps`] blocks plus a ledger of the blocks handed out
+/// and returned: every block taken is either returned or still riding an
+/// armed frame, which the tests check after lossy and flapped runs.
+#[derive(Debug)]
+struct StampPool {
+    pool: Pool<HopStamps>,
+    taken: u64,
+    returned: u64,
+}
+
+impl Default for StampPool {
+    fn default() -> Self {
+        StampPool { pool: Pool::bounded(FRAME_POOL_RETAIN), taken: 0, returned: 0 }
+    }
+}
+
+impl StampPool {
+    /// An armed, empty hop list on a recycled block.
+    fn take(&mut self) -> HopList {
+        self.taken += 1;
+        HopList::armed(self.pool.get(HopStamps::new))
+    }
+
+    /// Returns the storage of `hops`, if armed, and leaves it unarmed.
+    fn give(&mut self, hops: &mut HopList) {
+        if let Some(block) = hops.disarm() {
+            self.returned += 1;
+            self.pool.put(block);
+        }
+    }
+}
+
+/// Free boxes in transit between partition pools (see
+/// [`Network::lend_free`]): frame boxes and INT stamp blocks.
+#[derive(Debug, Default)]
+#[allow(clippy::vec_box)] // boxes are the recycled resource (see Pool::lend)
+pub(crate) struct FreeBoxes {
+    frames: Vec<Box<Frame>>,
+    stamps: Vec<Box<HopStamps>>,
+}
+
+impl FreeBoxes {
+    pub(crate) fn is_empty(&self) -> bool {
+        self.frames.is_empty() && self.stamps.is_empty()
+    }
+}
 
 /// Initial capacity of a partition's cross-partition outbox: generous
 /// enough that a lookahead window's worth of cut-link departures never
@@ -329,6 +379,7 @@ impl Network {
             monitors: Vec::new(),
             rng,
             pool: Pool::bounded(FRAME_POOL_RETAIN),
+            stamps: StampPool::default(),
             flushed: Vec::new(),
             flushed_fc: Vec::new(),
             data_drops: 0,
@@ -364,32 +415,52 @@ impl Network {
         self.owner.is_empty() || self.owner[node.0] == self.part
     }
 
-    /// Pre-fills the frame pool with `n` free boxes (see
+    /// Pre-fills the frame pool with `n` free boxes, and the stamp pool
+    /// with `n` blocks when a local sender reads INT (see
     /// [`dsh_simcore::Pool::prewarm`]); the parallel driver calls this per
     /// partition at construction so the measured steady state starts with
-    /// its circulating box population already in place.
-    pub(crate) fn prewarm_frame_pool(&mut self, n: usize) {
+    /// its circulating populations already in place.
+    pub(crate) fn prewarm_pools(&mut self, n: usize) {
         self.pool.prewarm(n, || Frame::pfc(PfcScope::Port, false));
+        let int_sender =
+            self.flows.iter().any(|f| f.spec.cc.reads_int() && self.is_local(f.spec.src));
+        if int_sender {
+            self.stamps.pool.prewarm(n, HopStamps::new);
+        }
     }
 
-    /// Detaches up to `n` free boxes from the frame pool into `out`.
+    /// Detaches up to `frames` free frame boxes and `stamps` free INT
+    /// stamp blocks from this network's pools into `out`.
     ///
     /// Cross-partition pool rebalancing: a frame migrating to another
-    /// partition takes its box along, so the coordinator counter-migrates
-    /// a free box per delivered frame. That keeps every partition's box
-    /// population flat — without it, a partition whose hosts net-export
-    /// frames drains its free list and allocates on the hot path forever.
-    #[allow(clippy::vec_box)] // boxes are the recycled resource (see Pool::lend)
-    pub(crate) fn lend_free_frames(&mut self, n: usize, out: &mut Vec<Box<Frame>>) {
-        self.pool.lend(n, out);
+    /// partition takes its box (and an armed frame its stamp block)
+    /// along, so the coordinator counter-migrates a free one per
+    /// delivered frame. That keeps every partition's population flat —
+    /// without it, a partition whose hosts net-export frames drains its
+    /// free lists and allocates on the hot path forever.
+    pub(crate) fn lend_free(&mut self, frames: usize, stamps: usize, out: &mut FreeBoxes) {
+        self.pool.lend(frames, &mut out.frames);
+        self.stamps.pool.lend(stamps, &mut out.stamps);
     }
 
-    /// Returns boxes taken by [`Network::lend_free_frames`] to this pool.
-    #[allow(clippy::vec_box)] // boxes are the recycled resource (see Pool::lend)
-    pub(crate) fn adopt_free_frames(&mut self, from: &mut Vec<Box<Frame>>) {
-        for b in from.drain(..) {
+    /// Returns boxes taken by [`Network::lend_free`] to this network's
+    /// pools.
+    pub(crate) fn adopt_free(&mut self, from: &mut FreeBoxes) {
+        for b in from.frames.drain(..) {
             self.pool.put(b);
         }
+        for b in from.stamps.drain(..) {
+            self.stamps.pool.put(b);
+        }
+    }
+
+    /// Recycles a consumed or dropped frame: its INT stamp block (if
+    /// armed) goes back to the stamp pool, the box to the frame pool.
+    fn recycle(&mut self, mut frame: Box<Frame>) {
+        if let Some(hops) = frame.hops_mut() {
+            self.stamps.give(hops);
+        }
+        self.pool.put(frame);
     }
 
     /// The flight-recorder tracer this network (and its switch MMUs)
@@ -671,6 +742,8 @@ impl Network {
         self.corrupt.append(&mut other.corrupt);
         self.data_drops += other.data_drops;
         self.packets_delivered += other.packets_delivered;
+        self.stamps.taken += other.stamps.taken;
+        self.stamps.returned += other.stamps.returned;
         self.watchdog_drops += other.watchdog_drops;
         self.link_drops += other.link_drops;
         self.retransmissions += other.retransmissions;
@@ -1183,23 +1256,21 @@ impl Network {
             let Some(mut qf) = picked else {
                 return;
             };
-            // Release MMU accounting (into the segment the packet was
-            // admitted to) and collect PFC actions.
-            if let Some(IngressTag { in_port, in_queue, region }) = qf.ingress {
-                let sw = self.switch_mut(node);
-                fc = sw.mmu.on_departure(in_port, in_queue, qf.frame.bytes, region, now);
-                sw.occupancy.sub(now, qf.frame.bytes);
+            if let Some(tag) = qf.ingress {
+                fc = self.release_ingress(node, tag, qf.frame.bytes, now);
             }
-            // Stamp INT telemetry (switch egress only).
+            // Stamp INT telemetry (switch egress, armed frames only).
             let p = self.port_mut(node, port);
             if is_switch {
                 if let FrameKind::Data(d) = &mut qf.frame.kind {
-                    d.hops.push(TelemetryHop {
-                        qlen_bytes: p.queue_bytes(qf.frame.class),
-                        tx_bytes: p.tx_bytes(),
-                        timestamp: now,
-                        bandwidth: p.bandwidth,
-                    });
+                    if d.hops.is_armed() {
+                        d.hops.push(TelemetryHop {
+                            qlen_bytes: p.queue_bytes(qf.frame.class),
+                            tx_bytes: p.tx_bytes(),
+                            timestamp: now,
+                            bandwidth: p.bandwidth,
+                        });
+                    }
                 }
             }
             let bytes = qf.frame.bytes;
@@ -1227,6 +1298,23 @@ impl Network {
         }
 
         self.drain_fc(node, fc, Some(port), sched);
+    }
+
+    /// Releases the MMU accounting of a frame leaving `node`'s buffer
+    /// (into the segment it was admitted to) and returns the PFC actions
+    /// the release owes.
+    fn release_ingress(
+        &mut self,
+        node: NodeId,
+        tag: IngressTag,
+        bytes: u64,
+        now: Time,
+    ) -> FcActions {
+        let sw = self.switch_mut(node);
+        let (in_port, in_queue) = (tag.in_port as usize, usize::from(tag.in_queue));
+        let fc = sw.mmu.on_departure(in_port, in_queue, bytes, tag.region, now);
+        sw.occupancy.sub(now, bytes);
+        fc
     }
 
     /// Materializes PFC frames for `actions`, enqueues them toward the
@@ -1285,7 +1373,7 @@ impl Network {
                 gen,
             },
         );
-        self.pool.put(frame);
+        self.recycle(frame);
     }
 
     // ---- switch dataplane ---------------------------------------------------
@@ -1323,7 +1411,7 @@ impl Network {
             assert!(self.fault_plan.is_some(), "no route from {node} to host {}", dst.0);
             self.link_drops += 1;
             self.trace_frame_lost(node, in_port, &frame);
-            self.pool.put(frame);
+            self.recycle(frame);
             return;
         };
 
@@ -1337,7 +1425,13 @@ impl Network {
                 match outcome.region {
                     Some(region) => {
                         sw.occupancy.add(now, frame.bytes);
-                        Some(Some(IngressTag { in_port, in_queue: q, region }))
+                        // Port and class counts fit the narrow tag (the
+                        // builder bounds ports by the u32 event fields).
+                        Some(Some(IngressTag {
+                            in_port: in_port as u32,
+                            in_queue: q as u8,
+                            region,
+                        }))
                     }
                     None => None,
                 }
@@ -1351,7 +1445,7 @@ impl Network {
             // it by design once the shared pool rejects (drop-tail), and
             // loss recovery repairs the gap end to end.
             self.data_drops += 1;
-            self.pool.put(frame);
+            self.recycle(frame);
             self.drain_fc(node, fc, None, sched);
             return;
         };
@@ -1439,7 +1533,7 @@ impl Network {
                         }
                     }
                 }
-                self.pool.put(frame);
+                self.recycle(frame);
                 self.arm_cc_timer(node, flow, sched);
                 // Window space may have opened.
                 self.host_try_send(node, sched);
@@ -1488,7 +1582,7 @@ impl Network {
                 if episode {
                     self.recovery_nacks += 1;
                 }
-                self.pool.put(frame);
+                self.recycle(frame);
                 self.arm_cc_timer(node, flow, sched);
                 self.host_try_send(node, sched);
             }
@@ -1500,7 +1594,7 @@ impl Network {
                         f.cc.on_cnp(now);
                     }
                 }
-                self.pool.put(frame);
+                self.recycle(frame);
                 self.arm_cc_timer(node, flow, sched);
             }
         }
@@ -1512,10 +1606,11 @@ impl Network {
         mut frame: Box<Frame>,
         sched: &mut Scheduler<'_, NetEvent>,
     ) {
-        let FrameKind::Data(d) = &frame.kind else {
+        let FrameKind::Data(d) = &mut frame.kind else {
             unreachable!("host_receive_data requires a data frame")
         };
-        let (flow, src, seq, payload, ecn, hops) = (d.flow, d.src, d.seq, d.payload, d.ecn, d.hops);
+        let (flow, src, seq, payload, ecn) = (d.flow, d.src, d.seq, d.payload, d.ecn);
+        let mut hops = std::mem::take(&mut d.hops);
         self.packets_delivered += 1;
         let now = sched.now();
         let meta_size = self.flows[flow.0].spec.size;
@@ -1580,9 +1675,10 @@ impl Network {
 
         // Reply path: ACK (or NACK on an out-of-order arrival under
         // selective repeat) + CNP (DCQCN NP policy). The data frame's box
-        // is rewritten in place — the telemetry echo is an inline copy,
-        // not a heap clone.
+        // is rewritten in place, and the ACK takes over its telemetry
+        // (a NACK carries none, so the stamp block goes back to the pool).
         if nack {
+            self.stamps.give(&mut hops);
             *frame = Frame::nack(NackFrame {
                 flow,
                 dst: src,
@@ -1644,6 +1740,7 @@ impl Network {
             acked: 0,
             next_send,
             cc: new_cc(spec.cc, h.uplink().bandwidth, base_rtt),
+            reads_int: spec.cc.reads_int(),
             timer_gen: 0,
             recovery: GoBackN::new(rcfg),
             rto_gen: 0,
@@ -1763,7 +1860,7 @@ impl Network {
                     (f.sent, mtu.min(f.size - f.sent), f.sent < f.max_sent, false)
                 }
             };
-            let df = DataFrame {
+            let mut df = DataFrame {
                 flow: f.id,
                 src: node,
                 dst: f.dst,
@@ -1773,6 +1870,7 @@ impl Network {
                 hops: HopList::new(),
             };
             let class = f.class;
+            let armed = f.reads_int;
             if !is_repair {
                 // Repairs re-cover old offsets; only fresh data (or a
                 // GBN replay) moves the stream cursor.
@@ -1826,6 +1924,9 @@ impl Network {
                     deadline,
                     NetEvent::RtoTimer { host: node.0 as u32, flow: flow_id.0 as u32, gen },
                 );
+            }
+            if armed {
+                df.hops = self.stamps.take();
             }
             let frame = self.pool.get(|| Frame::data(df, class));
             self.host_mut(node).uplink_mut().enqueue(QueuedFrame { frame, ingress: None });
@@ -2162,12 +2263,10 @@ impl Network {
         let now = sched.now();
         let mut fc = std::mem::take(&mut self.flushed_fc);
         for qf in flushed.drain(..) {
-            if let Some(IngressTag { in_port, in_queue, region }) = qf.ingress {
-                let sw = self.switch_mut(node);
-                fc.extend(sw.mmu.on_departure(in_port, in_queue, qf.frame.bytes, region, now));
-                sw.occupancy.sub(now, qf.frame.bytes);
+            if let Some(tag) = qf.ingress {
+                fc.extend(self.release_ingress(node, tag, qf.frame.bytes, now));
             }
-            self.pool.put(qf.frame);
+            self.recycle(qf.frame);
         }
         self.flushed = flushed;
         self.drain_fc(node, fc.drain(..), None, sched);
@@ -2564,7 +2663,7 @@ impl Network {
                 seq,
                 payload: seg,
                 ecn: false,
-                hops: HopList::new(),
+                hops: if spec.cc.reads_int() { self.stamps.take() } else { HopList::new() },
             };
             let frame = self.pool.get(|| Frame::data(df, spec.class));
             // The segment lands when the fluid model would have credited
@@ -2993,13 +3092,17 @@ impl std::fmt::Debug for ClassMask {
 }
 
 // Hot-path size contracts: calendar entries and queue slots are memcpy'd
-// constantly, so the large frame payload must stay behind a pointer.
+// constantly, so the frame payload stays behind a pointer.
 dsh_simcore::const_assert_size!(NetEvent, 24);
-dsh_simcore::const_assert_size!(QueuedFrame, 40);
-// The boxed frame itself carries the inline HopList (HOP_CAPACITY × 32-byte
-// TelemetryHop stamps); keep it cache-friendly. Raising HOP_CAPACITY moves
-// this — recertify deliberately, don't just bump the number.
-dsh_simcore::const_assert_size!(Frame, 352);
+dsh_simcore::const_assert_size!(QueuedFrame, 16);
+// The boxed frame is touched once per hop; its INT stamps live out of
+// line behind the 8-byte HopList handle, so HOP_CAPACITY does not move
+// this. Keep it within 72 bytes.
+dsh_simcore::const_assert_size!(Frame, 72);
+// Ports and nodes are built by the hundred and walked by the samplers; the
+// pause-latency histograms sit in one block behind a pointer.
+dsh_simcore::const_assert_size!(EgressPort, 544);
+dsh_simcore::const_assert_size!(Node, 640);
 
 impl Model for Network {
     type Event = NetEvent;
@@ -3030,7 +3133,7 @@ impl Model for Network {
                 // delivery time.
                 if self.arrival_lost(node, in_port, &frame) {
                     self.link_drops += 1;
-                    self.pool.put(frame);
+                    self.recycle(frame);
                     return;
                 }
                 if matches!(self.nodes[node.0], Node::Switch(_)) {
@@ -3152,7 +3255,13 @@ mod tests {
 
     /// A linear chain of `depth` switches between two hosts.
     fn switch_chain(depth: usize) -> NetworkBuilder {
-        let mut b = NetworkBuilder::new(NetParams::tomahawk(Scheme::Dsh).without_ecn());
+        switch_chain_with(NetParams::tomahawk(Scheme::Dsh).without_ecn(), depth)
+    }
+
+    /// [`switch_chain`] under `params`. Hosts are nodes 0 and 1, switches
+    /// 2 onward in path order.
+    fn switch_chain_with(params: NetParams, depth: usize) -> NetworkBuilder {
+        let mut b = NetworkBuilder::new(params);
         let h0 = b.host();
         let h1 = b.host();
         let switches: Vec<NodeId> = (0..depth).map(|_| b.switch()).collect();
@@ -3368,6 +3477,201 @@ mod tests {
         assert_eq!(net.data_drops(), 0);
     }
 
+    /// Every frame a run holds: queued at an egress, or in flight on the
+    /// calendar (a frame being serialized already sits in its `Arrive`).
+    fn live_frames(sim: &Simulation<Network>) -> impl Iterator<Item = &Frame> {
+        let queued = sim.model().nodes.iter().flat_map(Node::ports).flat_map(EgressPort::queued);
+        let flying = sim.pending_events().filter_map(|e| match e {
+            NetEvent::Arrive { frame, .. } => Some(&**frame),
+            _ => None,
+        });
+        queued.map(|qf| &*qf.frame).chain(flying)
+    }
+
+    /// The stamp-pool ledger balances: every block taken is either back
+    /// in the pool or riding an armed frame.
+    fn assert_stamps_balance(sim: &Simulation<Network>) {
+        let in_flight = live_frames(sim).filter(|f| f.is_armed()).count() as u64;
+        let st = &sim.model().stamps;
+        assert_eq!(st.taken, st.returned + in_flight, "stamp blocks leaked at {}", sim.now());
+    }
+
+    fn frame_flow(f: &Frame) -> Option<FlowId> {
+        match &f.kind {
+            FrameKind::Data(d) => Some(d.flow),
+            FrameKind::Ack(a) => Some(a.flow),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn powertcp_acks_echo_one_stamp_per_switch_in_path_order() {
+        let mut net = switch_chain(5).build();
+        let (h0, h1) = (NodeId(0), NodeId(1));
+        net.add_flow(FlowSpec {
+            src: h0,
+            dst: h1,
+            size: 2_000_000,
+            class: 0,
+            start: Time::ZERO,
+            cc: CcKind::PowerTcp,
+        });
+        let mut sim = net.into_sim();
+        let mut acks = 0;
+        for k in 1..=200 {
+            sim.run_until(Time::from_ns(500 * k));
+            for f in live_frames(&sim) {
+                assert!(f.is_armed() || !f.is_data(), "a PowerTCP data frame was born unarmed");
+                let FrameKind::Ack(a) = &f.kind else { continue };
+                acks += 1;
+                assert_eq!(a.hops.len(), 5, "an ACK must echo one stamp per switch");
+                // Each hop is at least one 2 us link further down the path.
+                for w in a.hops.windows(2) {
+                    assert!(w[1].timestamp >= w[0].timestamp + Delta::from_us(2), "{:?}", a.hops);
+                }
+            }
+        }
+        assert!(acks > 100, "only {acks} ACK sightings; the check is vacuous");
+        sim.run_until(Time::from_ms(5));
+        assert_eq!(sim.model().fct_records().len(), 1);
+        assert_stamps_balance(&sim);
+    }
+
+    #[test]
+    fn only_int_reading_flows_send_armed_frames() {
+        // DCQCN (ECN on, so CNPs flow too), uncontrolled and PowerTCP
+        // flows share a 3-switch chain in both directions.
+        let mut net = switch_chain_with(NetParams::tomahawk(Scheme::Dsh), 3).build();
+        let (h0, h1) = (NodeId(0), NodeId(1));
+        for (i, cc) in
+            [CcKind::Dcqcn, CcKind::Uncontrolled, CcKind::PowerTcp].into_iter().enumerate()
+        {
+            for (src, dst) in [(h0, h1), (h1, h0)] {
+                net.add_flow(FlowSpec {
+                    src,
+                    dst,
+                    size: 1_000_000,
+                    class: 0,
+                    start: Time::from_us(i as u64),
+                    cc,
+                });
+            }
+        }
+        let mut sim = net.into_sim();
+        let mut seen = [0u32; 2];
+        for k in 1..=100 {
+            sim.run_until(Time::from_us(2 * k));
+            let net = sim.model();
+            for f in live_frames(&sim) {
+                let Some(flow) = frame_flow(f) else { continue };
+                let reads_int = net.flow_spec(flow).cc.reads_int();
+                assert_eq!(f.is_armed(), reads_int, "{:?}", f.kind);
+                seen[usize::from(reads_int)] += 1;
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 50), "too few frames sampled: {seen:?}");
+        sim.run_until(Time::from_ms(10));
+        assert_eq!(sim.model().fct_records().len(), 6);
+        assert_stamps_balance(&sim);
+
+        // Without an INT reader no block is ever taken.
+        let mut net = switch_chain(3).build();
+        for cc in [CcKind::Dcqcn, CcKind::Uncontrolled] {
+            net.add_flow(FlowSpec {
+                src: h0,
+                dst: h1,
+                size: 500_000,
+                class: 0,
+                start: Time::ZERO,
+                cc,
+            });
+        }
+        let mut sim = net.into_sim();
+        sim.run_until(Time::from_ms(5));
+        assert_eq!(sim.model().fct_records().len(), 2);
+        assert_eq!(sim.model().stamps.taken, 0, "a non-INT flow was born armed");
+    }
+
+    #[test]
+    fn stamp_pool_balances_after_lossy_selective_repeat_drops() {
+        let base = NetParams::tomahawk(Scheme::Lossy).without_ecn();
+        let recovery = RecoveryConfig::for_rtt(base.base_rtt).selective_repeat();
+        let params = base.with_buffer(dsh_simcore::ByteSize::kib(300)).with_recovery(recovery);
+        let mut b = NetworkBuilder::new(params);
+        let hosts: Vec<NodeId> = (0..9).map(|_| b.host()).collect();
+        let sw = b.switch();
+        for &h in &hosts {
+            b.link(h, sw, Bandwidth::from_gbps(100), Delta::from_us(2));
+        }
+        let mut net = b.build();
+        for &src in &hosts[..8] {
+            net.add_flow(FlowSpec {
+                src,
+                dst: hosts[8],
+                size: 1_000_000,
+                class: 0,
+                start: Time::ZERO,
+                cc: CcKind::PowerTcp,
+            });
+        }
+        let mut sim = net.into_sim();
+        for k in 1..=50 {
+            sim.run_until(Time::from_us(10 * k));
+            assert_stamps_balance(&sim);
+        }
+        sim.run_until(Time::from_ms(20));
+        let net = sim.model();
+        assert!(net.data_drops() > 0, "the incast dropped nothing; the drop path is untested");
+        assert!(net.nacks_sent() > 0, "no NACK rewrote an armed frame");
+        assert_eq!(net.fct_records().len(), 8);
+        assert!(net.stamps.returned > 0);
+        assert_stamps_balance(&sim);
+    }
+
+    #[test]
+    fn stamp_pool_balances_after_a_link_flap() {
+        let flapped = || {
+            let params = NetParams::tomahawk(Scheme::Dsh).without_ecn().with_default_recovery();
+            let mut net = switch_chain_with(params, 3).build();
+            let (h0, h1) = (NodeId(0), NodeId(1));
+            for (src, dst) in [(h0, h1), (h1, h0)] {
+                net.add_flow(FlowSpec {
+                    src,
+                    dst,
+                    size: 2_000_000,
+                    class: 0,
+                    start: Time::ZERO,
+                    cc: CcKind::PowerTcp,
+                });
+            }
+            // Cut the middle link (switches 2 and 3) with frames on it.
+            let (down, up) = (Time::from_us(40), Time::from_us(90));
+            net.set_fault_plan(FaultPlan::new(5).flap(NodeId(2), NodeId(3), down, up));
+            net
+        };
+        let mut sim = flapped().into_sim();
+        for k in 1..=30 {
+            sim.run_until(Time::from_us(5 * k));
+            assert_stamps_balance(&sim);
+        }
+        sim.run_until(Time::from_ms(20));
+        let net = sim.model();
+        assert!(net.link_drops() > 0, "the flap lost no frames");
+        assert_eq!(net.fct_records().len(), 2);
+        assert_stamps_balance(&sim);
+
+        // Partitioned: blocks migrate between partition pools, but once
+        // the run drains every block taken anywhere is back in some pool.
+        let mut par = crate::par::ParallelSim::new(flapped(), 2).expect("the chain partitions");
+        assert!(par.plan().parts() > 1);
+        par.run_until(Time::from_ms(20));
+        let net = par.into_network();
+        assert_eq!(net.fct_records().len(), 2);
+        assert!(net.link_drops() > 0);
+        assert!(net.stamps.taken > 0);
+        assert_eq!(net.stamps.taken, net.stamps.returned, "stamp blocks leaked across partitions");
+    }
+
     #[test]
     fn watchdog_flush_queues_no_pfc_toward_a_dead_upstream() {
         // h0 -> s -> h1 with s's egress toward h1 held paused: h0's frames
@@ -3407,7 +3711,7 @@ mod tests {
             let mut drained = Vec::new();
             net.port_mut(s, 0).fail(t, &mut drained);
             for qf in drained {
-                net.pool.put(qf.frame);
+                net.recycle(qf.frame);
             }
             net.run_watchdog(t, Delta::from_us(100), sched);
             assert!(net.watchdog_drops() > 0, "the watchdog must have flushed");

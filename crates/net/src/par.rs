@@ -48,9 +48,8 @@
 //! follow per-partition order rather than the serial engine's).
 
 use crate::fault::{FaultKind, FaultSite};
-use crate::frame::Frame;
 use crate::ids::{FlowId, NodeId};
-use crate::network::{NetEvent, Network, Node};
+use crate::network::{FreeBoxes, NetEvent, Network, Node};
 use crate::routing;
 use dsh_simcore::window::Lockstep;
 use dsh_simcore::{Delta, Scheduler, Simulation, Time};
@@ -66,11 +65,12 @@ pub const MAX_PARTITIONS: usize = 8;
 /// fine.
 const SOLO_WINDOW: Delta = Delta::from_us(100);
 
-/// Free frame boxes pre-allocated per partition at construction. A
-/// partition can only recycle boxes its own events freed (plus the
-/// coordinator's per-frame refunds), so without a pre-warmed pool its
-/// circulating population converges over many windows — allocating on the
-/// hot path the whole while.
+/// Free frame boxes (and, with INT-reading senders, stamp blocks)
+/// pre-allocated per partition at construction. A partition can only
+/// recycle boxes its own events freed (plus the coordinator's per-frame
+/// refunds), so without a pre-warmed pool its circulating population
+/// converges over many windows — allocating on the hot path the whole
+/// while.
 const PART_POOL_PREWARM: usize = 4096;
 
 /// A node → partition assignment with its guaranteed lookahead.
@@ -229,8 +229,7 @@ pub struct ParallelSim {
     faults: Vec<(Time, FaultKind)>,
     next_fault: usize,
     scratch: Vec<(Time, NetEvent)>,
-    #[allow(clippy::vec_box)] // boxes are the recycled resource (see Pool::lend)
-    frame_scratch: Vec<Box<Frame>>,
+    free_scratch: FreeBoxes,
     inbox_scratch: Vec<Vec<(Time, NetEvent)>>,
 }
 
@@ -294,7 +293,7 @@ impl ParallelSim {
                 // room for an `Arrive` per pre-warmed frame box as well.
                 let events = part.calendar_reserve() + PART_POOL_PREWARM;
                 let mut sim = Simulation::new(part);
-                sim.model_mut().prewarm_frame_pool(PART_POOL_PREWARM);
+                sim.model_mut().prewarm_pools(PART_POOL_PREWARM);
                 sim.reserve_events(events);
                 // Setup events in the serial calendar's order: flow starts
                 // (in flow-id order) first, the sampling tick last, so
@@ -324,7 +323,7 @@ impl ParallelSim {
             faults,
             next_fault: 0,
             scratch: Vec::new(),
-            frame_scratch: Vec::new(),
+            free_scratch: FreeBoxes::default(),
             inbox_scratch: vec![Vec::new(); parts_n],
         }
     }
@@ -373,7 +372,7 @@ impl ParallelSim {
             faults,
             next_fault,
             scratch,
-            frame_scratch,
+            free_scratch,
             inbox_scratch,
         } = self;
         let parts: &[Mutex<Simulation<Network>>] = parts;
@@ -420,7 +419,7 @@ impl ParallelSim {
                 faults,
                 next_fault,
                 scratch,
-                frame_scratch,
+                free_scratch,
                 inbox_scratch,
                 worker_panic: &worker_panic,
             };
@@ -469,8 +468,7 @@ pub struct ParallelRun<'a> {
     faults: &'a [(Time, FaultKind)],
     next_fault: &'a mut usize,
     scratch: &'a mut Vec<(Time, NetEvent)>,
-    #[allow(clippy::vec_box)] // boxes are the recycled resource (see Pool::lend)
-    frame_scratch: &'a mut Vec<Box<Frame>>,
+    free_scratch: &'a mut FreeBoxes,
     inbox_scratch: &'a mut Vec<Vec<(Time, NetEvent)>>,
     worker_panic: &'a Mutex<Option<PanicPayload>>,
 }
@@ -579,21 +577,27 @@ impl ParallelRun<'_> {
                 if staged.is_empty() {
                     continue;
                 }
-                // Every staged frame carried its box into `dst`;
-                // counter-migrate the same number of free boxes back, or a
-                // partition whose hosts net-export frames drains its pool
-                // and allocates on the hot path forever (a dry destination
-                // pool skips the refund — it owes nothing, its own frees
-                // will restock it).
+                // Every staged frame carried its box (and an armed one its
+                // stamp block) into `dst`; counter-migrate as many free
+                // ones back, or a partition whose hosts net-export frames
+                // drains its pools and allocates on the hot path forever
+                // (a dry destination pool skips the refund — it owes
+                // nothing, its own frees will restock it).
                 let owed = staged.len();
+                let stamps_owed = staged
+                    .iter()
+                    .filter(
+                        |(_, ev)| matches!(ev, NetEvent::Arrive { frame, .. } if frame.is_armed()),
+                    )
+                    .count();
                 {
                     let mut sim = lock(&self.parts[dst]);
                     let m = sim.model_mut();
                     m.inbox.append(staged);
-                    m.lend_free_frames(owed, self.frame_scratch);
+                    m.lend_free(owed, stamps_owed, self.free_scratch);
                 }
-                if !self.frame_scratch.is_empty() {
-                    lock(&self.parts[src]).model_mut().adopt_free_frames(self.frame_scratch);
+                if !self.free_scratch.is_empty() {
+                    lock(&self.parts[src]).model_mut().adopt_free(self.free_scratch);
                 }
             }
         }

@@ -13,12 +13,17 @@ pub const DWRR_QUANTUM: u64 = 1600;
 
 /// Where a queued frame was admitted on ingress — needed to release the
 /// MMU accounting when it departs.
+///
+/// The fields are narrow so that `Option<IngressTag>` packs into 8 bytes
+/// (the `Region` niche carries the `None`) and a [`QueuedFrame`] into 16:
+/// every egress ring entry is one of these. The departure path widens
+/// them back to the MMU's `usize` indices.
 #[derive(Clone, Copy, Debug)]
 pub struct IngressTag {
     /// Ingress port index the frame arrived on.
-    pub in_port: usize,
+    pub in_port: u32,
     /// MMU queue (lossless class) it was accounted under.
-    pub in_queue: usize,
+    pub in_queue: u8,
     /// Buffer segment it was admitted into (the per-packet pool tag a real
     /// MMU keeps; released exactly on departure).
     pub region: Region,
@@ -26,10 +31,9 @@ pub struct IngressTag {
 
 /// A frame waiting in an egress queue.
 ///
-/// The frame itself is boxed: queue entries and calendar events stay a few
-/// pointers wide even though the frame carries its INT hop records inline,
-/// and the box is recycled through the network's frame pool instead of
-/// being freed when the frame is consumed.
+/// The frame itself is boxed: queue entries stay 16 bytes and calendar
+/// events 24, and the box is recycled through the network's frame pool
+/// instead of being freed when the frame is consumed.
 #[derive(Clone, Debug)]
 pub struct QueuedFrame {
     /// The frame.
@@ -38,41 +42,31 @@ pub struct QueuedFrame {
     pub ingress: Option<IngressTag>,
 }
 
-/// Per-class pause bookkeeping: total paused wall-clock (Fig. 11's
-/// metric), the currently open pause interval, and the distribution of
-/// closed pause→resume intervals (telemetry).
-#[derive(Clone, Debug, Default)]
+/// Slot of the port-level pause in the per-port pause tables (slots
+/// `0..NUM_CLASSES` are the classes).
+const PORT_SLOT: usize = NUM_CLASSES;
+
+/// One pause slot's clock: the currently open interval's start and the
+/// closed total (Fig. 11's metric). Whether the slot is paused lives in
+/// [`EgressPort`]'s bit set.
+#[derive(Clone, Copy, Debug, Default)]
 struct PauseClock {
-    paused: bool,
     since: Time,
     total: Delta,
-    closed: DurationHistogram,
 }
 
-impl PauseClock {
-    fn paused_since(&self) -> Option<Time> {
-        self.paused.then_some(self.since)
-    }
-
-    fn set(&mut self, pause: bool, now: Time) {
-        if pause && !self.paused {
-            self.paused = true;
-            self.since = now;
-        } else if !pause && self.paused {
-            self.paused = false;
-            let d = now - self.since;
-            self.total += d;
-            self.closed.record(d);
-        }
-    }
-
-    fn total_at(&self, now: Time) -> Delta {
-        if self.paused {
-            self.total + (now - self.since)
-        } else {
-            self.total
-        }
-    }
+/// Pause bookkeeping of one port, per class plus the port-level slot:
+/// interval clocks and the distributions of closed pause→resume
+/// intervals (telemetry). The nine histograms alone are ~4.8 KB, nearly
+/// nine tenths of a port (and of every host node, which embeds its
+/// uplink) if held inline, and the per-packet path never reads them, so
+/// the book is one block per port. It is allocated when the port is
+/// built, never on the first pause, which can land inside an
+/// allocation-counted window.
+#[derive(Clone, Debug, Default)]
+struct PauseBook {
+    clocks: [PauseClock; NUM_CLASSES + 1],
+    latency: [DurationHistogram; NUM_CLASSES + 1],
 }
 
 /// The egress side of one port.
@@ -105,10 +99,12 @@ pub struct EgressPort {
 
     /// Serializer busy until further notice (a `TxDone` event is pending).
     busy: bool,
-    /// PFC pause state per data class (set by frames from the peer).
-    class_pause: [PauseClock; NUM_CLASSES],
-    /// Port-level pause (DSH).
-    port_pause: PauseClock,
+    /// PFC pause state set by frames from the peer: bit `c` for a
+    /// queue-level pause of class `c`, bit [`PORT_SLOT`] for the
+    /// port-level pause (DSH). The per-packet path reads only this.
+    paused: u16,
+    /// Pause clocks and latency histograms, out of line.
+    pauses: Box<PauseBook>,
     /// First instant since which the port continuously had queued data but
     /// could transmit nothing (deadlock detection).
     blocked_since: Option<Time>,
@@ -150,8 +146,8 @@ impl EgressPort {
             active: VecDeque::with_capacity(NUM_CLASSES),
             in_active: [false; NUM_CLASSES],
             busy: false,
-            class_pause: std::array::from_fn(|_| PauseClock::default()),
-            port_pause: PauseClock::default(),
+            paused: 0,
+            pauses: Box::default(),
             blocked_since: None,
             link_up: true,
             fault_gen: 0,
@@ -210,29 +206,57 @@ impl EgressPort {
         if class == CONTROL_CLASS {
             return true;
         }
-        !self.class_pause[class as usize].paused && !self.port_pause.paused
+        self.paused & (1 << class | 1 << PORT_SLOT) == 0
+    }
+
+    /// Opens or closes the pause interval of `slot`; a closed interval
+    /// adds to the slot's total and its latency histogram.
+    fn set_pause(&mut self, slot: usize, pause: bool, now: Time) {
+        let bit = 1 << slot;
+        let clock = &mut self.pauses.clocks[slot];
+        if pause && self.paused & bit == 0 {
+            self.paused |= bit;
+            clock.since = now;
+        } else if !pause && self.paused & bit != 0 {
+            self.paused &= !bit;
+            let d = now - clock.since;
+            clock.total += d;
+            self.pauses.latency[slot].record(d);
+        }
+    }
+
+    fn slot_paused_since(&self, slot: usize) -> Option<Time> {
+        (self.paused & 1 << slot != 0).then_some(self.pauses.clocks[slot].since)
+    }
+
+    fn slot_pause_total(&self, slot: usize, now: Time) -> Delta {
+        let clock = &self.pauses.clocks[slot];
+        match self.slot_paused_since(slot) {
+            Some(since) => clock.total + (now - since),
+            None => clock.total,
+        }
     }
 
     /// Applies a queue-level PFC pause/resume received from the peer.
     pub fn apply_class_pause(&mut self, class: u8, pause: bool, now: Time) {
-        self.class_pause[class as usize].set(pause, now);
+        self.set_pause(class as usize, pause, now);
     }
 
     /// Applies a port-level PFC pause/resume received from the peer.
     pub fn apply_port_pause(&mut self, pause: bool, now: Time) {
-        self.port_pause.set(pause, now);
+        self.set_pause(PORT_SLOT, pause, now);
     }
 
     /// Whether a queue-level pause is asserted for `class`.
     #[must_use]
     pub fn class_paused(&self, class: u8) -> bool {
-        self.class_pause[class as usize].paused
+        self.paused & 1 << class != 0
     }
 
     /// Whether the port-level pause is asserted.
     #[must_use]
     pub fn port_paused(&self) -> bool {
-        self.port_pause.paused
+        self.paused & 1 << PORT_SLOT != 0
     }
 
     /// Total time `class` has spent paused up to `now` (includes the
@@ -240,22 +264,23 @@ impl EgressPort {
     /// separately via [`EgressPort::port_pause_total`].
     #[must_use]
     pub fn class_pause_total(&self, class: u8, now: Time) -> Delta {
-        self.class_pause[class as usize].total_at(now)
+        self.slot_pause_total(class as usize, now)
     }
 
     /// Total time the port-level pause has been asserted up to `now`.
     #[must_use]
     pub fn port_pause_total(&self, now: Time) -> Delta {
-        self.port_pause.total_at(now)
+        self.slot_pause_total(PORT_SLOT, now)
     }
 
     /// Distribution of every *closed* pause→resume interval observed at
     /// this port, queue-level (all classes) and port-level merged.
     #[must_use]
     pub fn pause_latency_histogram(&self) -> DurationHistogram {
-        let mut h = self.port_pause.closed.clone();
-        for c in &self.class_pause {
-            h.merge(&c.closed);
+        let (classes, port) = self.pauses.latency.split_at(PORT_SLOT);
+        let mut h = port[0].clone();
+        for c in classes {
+            h.merge(c);
         }
         h
     }
@@ -265,13 +290,13 @@ impl EgressPort {
     /// data-class pauses apart.
     #[must_use]
     pub fn class_pause_latency_histogram(&self, class: u8) -> &DurationHistogram {
-        &self.class_pause[class as usize].closed
+        &self.pauses.latency[class as usize]
     }
 
     /// Distribution of closed *port-level* (POFF) pause intervals only.
     #[must_use]
     pub fn port_pause_latency_histogram(&self) -> &DurationHistogram {
-        &self.port_pause.closed
+        &self.pauses.latency[PORT_SLOT]
     }
 
     /// Enqueues a frame for transmission. PFC frames go to their own
@@ -406,6 +431,12 @@ impl EgressPort {
         None
     }
 
+    /// Every queued frame, PFC lane first (invariant checks).
+    #[cfg(test)]
+    pub(crate) fn queued(&self) -> impl Iterator<Item = &QueuedFrame> {
+        self.pfc.iter().chain(self.queues.iter().flatten())
+    }
+
     /// Records that a transmission completed (`bytes` hit the wire).
     pub fn note_tx(&mut self, bytes: u64) {
         self.tx_bytes += bytes;
@@ -426,13 +457,13 @@ impl EgressPort {
     /// Start of the current queue-level pause for `class`, if asserted.
     #[must_use]
     pub fn class_paused_since(&self, class: u8) -> Option<Time> {
-        self.class_pause[class as usize].paused_since()
+        self.slot_paused_since(class as usize)
     }
 
     /// Start of the current port-level pause, if asserted.
     #[must_use]
     pub fn port_paused_since(&self) -> Option<Time> {
-        self.port_pause.paused_since()
+        self.slot_paused_since(PORT_SLOT)
     }
 
     /// Whether the attached link is alive.
@@ -466,10 +497,10 @@ impl EgressPort {
         self.active.clear();
         self.pfc_bytes = 0;
         out.extend(self.pfc.drain(..));
-        for c in &mut self.class_pause {
-            c.set(false, now);
+        for c in 0..NUM_CLASSES {
+            self.apply_class_pause(c as u8, false, now);
         }
-        self.port_pause.set(false, now);
+        self.apply_port_pause(false, now);
         self.blocked_since = None;
     }
 
@@ -485,8 +516,8 @@ impl EgressPort {
     /// so the caller can release MMU accounting. Appends to `out` without
     /// clearing it, reusing its capacity across flushes.
     pub fn watchdog_flush_class(&mut self, class: u8, now: Time, out: &mut Vec<QueuedFrame>) {
-        self.class_pause[class as usize].set(false, now);
-        self.port_pause.set(false, now);
+        self.apply_class_pause(class, false, now);
+        self.apply_port_pause(false, now);
         let c = class as usize;
         self.qbytes[c] = 0;
         self.blocked_since = None;

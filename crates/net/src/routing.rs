@@ -147,7 +147,7 @@ pub fn max_route_hops(is_switch: &[bool], adj: &[Vec<(usize, usize)>]) -> usize 
     worst
 }
 
-/// [`compute_route_tables`] behind the inline telemetry budget: every
+/// [`compute_route_tables`] behind the telemetry stamp budget: every
 /// switch a frame crosses stamps it once, so a topology — or a fault
 /// detour — whose longest route exceeds [`dsh_transport::HOP_CAPACITY`]
 /// fails loudly here, when routes are (re)computed, instead of panicking
@@ -163,9 +163,8 @@ pub fn checked_route_tables(is_switch: &[bool], adj: &[Vec<(usize, usize)>]) -> 
     assert!(
         diameter <= dsh_transport::HOP_CAPACITY,
         "longest route crosses {diameter} switches but frames carry only \
-         HOP_CAPACITY ({}) inline telemetry stamps; raise \
-         dsh_transport::HOP_CAPACITY (and recertify the Frame size \
-         contract) for this topology",
+         HOP_CAPACITY ({}) telemetry stamps; raise \
+         dsh_transport::HOP_CAPACITY for this topology",
         dsh_transport::HOP_CAPACITY
     );
     compute_route_tables(is_switch, adj)
@@ -345,7 +344,7 @@ mod tests {
         // Direct ToR-ToR link up: two stamps.
         assert_eq!(max_route_hops(&is_switch, &adj), 2);
         // Kill the direct link; the reroute goes 2-4-5-6-3: five stamps,
-        // still within the inline HopList capacity.
+        // still within the HopList stamp capacity.
         adj[2].retain(|&(v, _)| v != 3);
         adj[3].retain(|&(v, _)| v != 2);
         let lengthened = max_route_hops(&is_switch, &adj);

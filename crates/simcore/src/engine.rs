@@ -250,6 +250,12 @@ impl<M: Model> Simulation<M> {
         self.queue.len()
     }
 
+    /// Every pending event, in no particular order (see
+    /// [`EventQueue::iter_unordered`]).
+    pub fn pending_events(&self) -> impl Iterator<Item = &M::Event> {
+        self.queue.iter_unordered()
+    }
+
     /// Borrows the model.
     #[must_use]
     pub fn model(&self) -> &M {

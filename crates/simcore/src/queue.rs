@@ -428,6 +428,14 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
+
+    /// Every pending event, in no particular order: an inspection aid for
+    /// invariant checks over what is in flight (pop order is what
+    /// [`EventQueue::pop`] yields).
+    pub fn iter_unordered(&self) -> impl Iterator<Item = &E> {
+        let filed = self.slab.iter().filter_map(|s| s.event.as_ref());
+        self.run.iter().map(|(_, e)| e).chain(filed)
+    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -558,6 +566,26 @@ mod tests {
             q.push(t, ());
             assert_eq!(q.peek_time(), Some(t));
         }
+    }
+
+    #[test]
+    fn iter_unordered_visits_every_pending_event_once() {
+        // One event per tier (run, near, far, overflow), then pop some.
+        let mut q = EventQueue::new();
+        for (i, t) in [Time::ZERO, Time::from_us(3), Time::from_us(500), Time::from_ms(9)]
+            .into_iter()
+            .enumerate()
+        {
+            q.push(t, i);
+        }
+        let mut seen: Vec<usize> = q.iter_unordered().copied().collect();
+        seen.sort_unstable();
+        assert_eq!(seen, [0, 1, 2, 3]);
+        q.pop();
+        q.pop();
+        let mut seen: Vec<usize> = q.iter_unordered().copied().collect();
+        seen.sort_unstable();
+        assert_eq!(seen, [2, 3], "popped events leave no trace in the slab");
     }
 
     #[test]

@@ -16,6 +16,15 @@ pub enum CcKind {
     PowerTcp,
 }
 
+impl CcKind {
+    /// Whether this transport consumes in-band telemetry. Only such
+    /// flows send frames armed with INT stamp storage.
+    #[must_use]
+    pub fn reads_int(self) -> bool {
+        matches!(self, CcKind::PowerTcp)
+    }
+}
+
 impl fmt::Display for CcKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -144,5 +153,12 @@ mod tests {
         assert_eq!(CcKind::Dcqcn.to_string(), "DCQCN");
         assert_eq!(CcKind::PowerTcp.to_string(), "PowerTCP");
         assert_eq!(CcKind::Uncontrolled.to_string(), "w/o CC");
+    }
+
+    #[test]
+    fn only_powertcp_reads_int() {
+        assert!(CcKind::PowerTcp.reads_int());
+        assert!(!CcKind::Dcqcn.reads_int());
+        assert!(!CcKind::Uncontrolled.reads_int());
     }
 }

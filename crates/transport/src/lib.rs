@@ -44,7 +44,7 @@ pub use dcqcn::{Dcqcn, DcqcnConfig};
 pub use powertcp::{PowerTcp, PowerTcpConfig};
 pub use receiver::{CnpPolicy, SackBuffer};
 pub use recovery::{GoBackN, RecoveryConfig, Regime, RtoOutcome, RttEstimator, SackState};
-pub use telemetry::{HopList, TelemetryHop, HOP_CAPACITY};
+pub use telemetry::{HopList, HopStamps, TelemetryHop, HOP_CAPACITY};
 
 use dsh_simcore::{Bandwidth, Delta};
 

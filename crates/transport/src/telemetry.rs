@@ -32,7 +32,7 @@ impl TelemetryHop {
 }
 
 /// Maximum number of switch hops a packet can traverse, and therefore the
-/// inline capacity of a [`HopList`].
+/// capacity of an armed [`HopList`]'s stamp storage.
 ///
 /// The nominal data-path diameter of the supported fabrics is 5 egress
 /// stamps: a k-ary fat-tree crosses edge→agg→core→agg→edge, and the
@@ -40,12 +40,11 @@ impl TelemetryHop {
 /// leaf→spine→leaf→spine→leaf. Fault reroutes can lengthen a path past the
 /// nominal diameter (a recomputed fat-tree route may detour through an
 /// extra agg/core pair), so the capacity carries 3 hops of slack above it.
-/// Every frame carries this array inline, so the constant is also a memcpy
-/// budget — the `Frame` size contract (`const_assert_size!` in
-/// `dsh-net::network`) recertifies the frame footprint whenever it moves.
-/// `NetworkBuilder::build` checks the longest computed route against this
-/// capacity at build time, and [`HopList::push`] past capacity panics
-/// rather than silently dropping telemetry.
+/// The stamps live out of line in a [`HopStamps`] block, so the constant
+/// sizes that block, not the frame. `NetworkBuilder::build` checks the
+/// longest computed route against this capacity at build time, and
+/// [`HopList::push`] past capacity panics rather than silently dropping
+/// telemetry.
 pub const HOP_CAPACITY: usize = 8;
 
 const ZERO_HOP: TelemetryHop = TelemetryHop {
@@ -55,58 +54,110 @@ const ZERO_HOP: TelemetryHop = TelemetryHop {
     bandwidth: Bandwidth::from_bps(0),
 };
 
-/// A fixed-capacity, inline list of [`TelemetryHop`]s.
+/// Out-of-line storage for one packet's INT stamps: up to
+/// [`HOP_CAPACITY`] records plus the live count.
 ///
-/// Replaces the old `Vec<TelemetryHop>` inside data/ACK frames: the storage
-/// lives inline in the frame (no per-packet heap allocation, and echoing
-/// the hops into an ACK is a plain `memcpy`). Push order is preserved and
-/// unused slots are zeroed, so equality and hashing only consider the live
-/// prefix.
-#[derive(Clone, Copy)]
-pub struct HopList {
+/// Only an armed [`HopList`] owns one. The network recycles these blocks
+/// through a pool, like frame boxes, so stamping never allocates in
+/// steady state.
+#[derive(Clone, Debug)]
+pub struct HopStamps {
     hops: [TelemetryHop; HOP_CAPACITY],
     len: u8,
 }
 
-impl HopList {
-    /// An empty list.
+impl HopStamps {
+    /// An empty block.
     #[must_use]
     pub const fn new() -> Self {
-        HopList { hops: [ZERO_HOP; HOP_CAPACITY], len: 0 }
+        HopStamps { hops: [ZERO_HOP; HOP_CAPACITY], len: 0 }
+    }
+}
+
+impl Default for HopStamps {
+    fn default() -> Self {
+        HopStamps::new()
+    }
+}
+
+/// A packet's INT stamps: an 8-byte handle that is either *unarmed*
+/// (stores nothing, reads as empty) or *armed* with a [`HopStamps`] block.
+///
+/// Only flows whose transport reads INT ([`crate::CcKind::reads_int`]) send
+/// armed frames, so every other frame carries one null pointer instead of
+/// the stamp array. Switches stamp armed lists only, the receiver moves
+/// the list into its ACK, and the sender hands the block back with
+/// [`HopList::disarm`] once the ACK is consumed. Equality and `Debug` see
+/// only the stamped prefix, so an unarmed list equals an armed empty one.
+/// Cloning an armed list copies its block onto the heap.
+#[derive(Clone, Default)]
+pub struct HopList {
+    stamps: Option<Box<HopStamps>>,
+}
+
+impl HopList {
+    /// An unarmed list: stores nothing, and [`HopList::push`] panics.
+    #[must_use]
+    pub const fn new() -> Self {
+        HopList { stamps: None }
+    }
+
+    /// An armed, empty list backed by `storage` (whatever it held before
+    /// is discarded).
+    #[must_use]
+    pub fn armed(mut storage: Box<HopStamps>) -> Self {
+        storage.len = 0;
+        HopList { stamps: Some(storage) }
+    }
+
+    /// Whether the list owns stamp storage.
+    #[must_use]
+    pub fn is_armed(&self) -> bool {
+        self.stamps.is_some()
+    }
+
+    /// Unarms the list and returns its storage, if it had any.
+    pub fn disarm(&mut self) -> Option<Box<HopStamps>> {
+        self.stamps.take()
     }
 
     /// Appends a hop record.
     ///
     /// # Panics
     ///
-    /// Panics if the packet already carries [`HOP_CAPACITY`] stamps — the
-    /// topology's diameter exceeds the inline capacity contract.
+    /// Panics if the list is unarmed (a stamping path forgot to check
+    /// [`HopList::is_armed`]) or already carries [`HOP_CAPACITY`] stamps
+    /// (the topology's diameter exceeds the capacity contract).
     pub fn push(&mut self, hop: TelemetryHop) {
+        let s = self.stamps.as_deref_mut().expect("HopList::push on an unarmed list");
         assert!(
-            (self.len as usize) < HOP_CAPACITY,
+            (s.len as usize) < HOP_CAPACITY,
             "HopList overflow: path exceeds HOP_CAPACITY ({HOP_CAPACITY}) switch hops; \
              raise dsh_transport::HOP_CAPACITY for deeper topologies"
         );
-        self.hops[self.len as usize] = hop;
-        self.len += 1;
+        s.hops[s.len as usize] = hop;
+        s.len += 1;
     }
 
     /// Number of stamped hops.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len as usize
+        self.as_slice().len()
     }
 
-    /// Whether no hop has been stamped yet.
+    /// Whether no hop has been stamped yet (always true when unarmed).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.as_slice().is_empty()
     }
 
     /// The stamped hops, in path order.
     #[must_use]
     pub fn as_slice(&self) -> &[TelemetryHop] {
-        &self.hops[..self.len as usize]
+        match &self.stamps {
+            Some(s) => &s.hops[..s.len as usize],
+            None => &[],
+        }
     }
 
     /// Iterates over the stamped hops in path order.
@@ -114,31 +165,26 @@ impl HopList {
         self.as_slice().iter()
     }
 
-    /// Removes all hops (slots are re-zeroed so equality stays prefix-only
-    /// by construction).
+    /// Removes all hops; an armed list stays armed.
     pub fn clear(&mut self) {
-        self.hops = [ZERO_HOP; HOP_CAPACITY];
-        self.len = 0;
+        if let Some(s) = &mut self.stamps {
+            s.len = 0;
+        }
     }
 
-    /// Builds a list from a slice (test/bench convenience).
+    /// Builds an armed list holding `hops`, on freshly allocated storage
+    /// (test/bench convenience).
     ///
     /// # Panics
     ///
     /// Panics if `hops.len() > HOP_CAPACITY`.
     #[must_use]
     pub fn from_slice(hops: &[TelemetryHop]) -> Self {
-        let mut out = HopList::new();
+        let mut out = HopList::armed(Box::default());
         for h in hops {
             out.push(*h);
         }
         out
-    }
-}
-
-impl Default for HopList {
-    fn default() -> Self {
-        HopList::new()
     }
 }
 
@@ -195,7 +241,7 @@ mod tests {
 
     #[test]
     fn hoplist_push_and_iterate_in_path_order() {
-        let mut l = HopList::new();
+        let mut l = HopList::armed(Box::default());
         assert!(l.is_empty());
         for n in 0..4 {
             l.push(hop(n));
@@ -207,15 +253,43 @@ mod tests {
     }
 
     #[test]
-    fn hoplist_copies_and_compares_by_live_prefix() {
-        let mut a = HopList::new();
+    fn hoplist_clones_and_compares_by_live_prefix() {
+        let mut a = HopList::armed(Box::default());
         a.push(hop(7));
-        let b = a; // Copy, not move: frames stay plain data.
-        assert_eq!(a, b);
+        let b = a.clone(); // A deep copy: the clone owns its own block.
+        a.push(hop(8));
+        assert_eq!(b.as_slice(), &[hop(7)]);
+        assert_ne!(a, b);
         let mut c = HopList::from_slice(&[hop(7), hop(8)]);
-        assert_ne!(a, c);
+        assert_eq!(a, c);
         c.clear();
+        assert!(c.is_armed(), "clear keeps the storage");
+        // Empty armed and unarmed lists compare equal: only stamps count.
         assert_eq!(c, HopList::new());
+    }
+
+    #[test]
+    fn hoplist_unarmed_stores_nothing_and_disarm_returns_storage() {
+        assert_eq!(std::mem::size_of::<HopList>(), 8);
+        let mut u = HopList::default();
+        assert!(!u.is_armed());
+        assert!(u.is_empty());
+        assert!(u.disarm().is_none());
+
+        let mut a = HopList::from_slice(&[hop(1), hop(2)]);
+        let storage = a.disarm().expect("armed list owns storage");
+        assert!(!a.is_armed());
+        assert!(a.is_empty());
+        // Re-arming recycled storage starts from an empty list.
+        let b = HopList::armed(storage);
+        assert!(b.is_armed());
+        assert!(b.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "unarmed")]
+    fn hoplist_push_on_unarmed_panics() {
+        HopList::new().push(hop(1));
     }
 
     #[test]
@@ -230,7 +304,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "HopList overflow")]
     fn hoplist_overflow_panics() {
-        let mut l = HopList::new();
+        let mut l = HopList::armed(Box::default());
         for n in 0..=HOP_CAPACITY as u64 {
             l.push(hop(n));
         }

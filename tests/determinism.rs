@@ -46,7 +46,7 @@ fn fig14_sweep_is_byte_identical_at_1_and_4_threads() {
     // And the run must actually have measured something.
     assert!(serial.iter().all(|p| p.norm_fan().is_some() && p.norm_bg().is_some()));
     // Golden digest: pins the sweep's full output byte-for-byte across
-    // refactors. Frame pooling, the inline hop list, and buffer reuse must
+    // refactors. Frame pooling, the hop-list layout, and buffer reuse must
     // not move a single event, so this hash is the "before/after pooling"
     // equivalence proof. It may only change with a deliberate
     // behavior-changing fix (last rebaselined when redundant NIC pacing

@@ -155,7 +155,7 @@ proptest! {
 
     #[test]
     // Chains are capped at 8 switches: the builder rejects deeper routes
-    // (frames carry HOP_CAPACITY inline telemetry stamps).
+    // (armed frames carry at most HOP_CAPACITY telemetry stamps).
     fn chains_partition_cleanly(n in 1usize..9, seed in 0u64..1000, max_parts in 1usize..10) {
         check_plan(&chain_or_ring(n, seed, false), max_parts, None);
     }
